@@ -20,6 +20,7 @@ from .coeffs import (
     serialize_coefficients,
 )
 from .errors import (
+    InertiaError,
     LeftDefError,
     NonCauchyError,
     SolverOverflowError,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spectrum as spec_mod
-from .coeffs import Sequence, load_coefficients, make_preset
+from .coeffs import PRESETS, Sequence, load_coefficients, make_preset
 from .errors import LeftDefError
 from .operators import (
     InitKind,
@@ -46,7 +46,13 @@ def _coeffs_from_args(args):
     if getattr(args, "coeffs", None):
         return load_coefficients(Path(args.coeffs).read_text())
     if getattr(args, "preset", None):
-        name, params = parse_preset(args.preset)
+        try:
+            name, params = parse_preset(args.preset)
+        except ValueError as exc:
+            raise SystemExit2(str(exc)) from exc
+        if name not in PRESETS:
+            raise SystemExit2(
+                f"unknown preset {name!r}, choose from {', '.join(PRESETS)}")
         return make_preset(name, params, length=args.length, rng_seed=args.seed)
     raise SystemExit2("one of --coeffs or --preset is required")
 

@@ -20,6 +20,7 @@ __all__ = [
     "load_coefficients",
     "make_preset",
     "serialize_coefficients",
+    "PRESETS",
 ]
 
 
@@ -137,6 +138,8 @@ class CoefficientSet:
 
 _RANDOM_RANGES = {"p": (0.1, 10.0), "q": (0.0, 5.0), "w": (-5.0, 5.0)}
 
+PRESETS = ("constant", "power", "periodic", "random")
+
 
 def make_preset(name: str, params: dict | None = None, length: int = 10,
                 rng_seed: int = 0) -> CoefficientSet:
@@ -148,6 +151,8 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
       periodic  p, q, w cycle through the given lists (params p, q, w)
       random    uniform draws p in [0.1, 10], q in [0, 5], w in [-5, 5]
     """
+    if name not in PRESETS:
+        raise ValidationError(f"unknown preset {name!r}")
     params = dict(params or {})
     if length < 2:
         raise ValidationError("length must be >= 2")
@@ -169,7 +174,7 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
         p = pc[np.arange(length) % len(pc)]
         q = qc[np.arange(length) % len(qc)]
         w = wc[np.arange(1, length + 1) % len(wc)]
-    elif name == "random":
+    else:  # random
         rng = np.random.default_rng(rng_seed)
         plo, phi = params.get("p_range", _RANDOM_RANGES["p"])
         qlo, qhi = params.get("q_range", _RANDOM_RANGES["q"])
@@ -179,8 +184,6 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
         p = rng.uniform(plo, phi, length)
         q = rng.uniform(qlo, qhi, length)
         w = rng.uniform(wlo, whi, length)
-    else:
-        raise ValidationError(f"unknown preset {name!r}")
 
     return CoefficientSet(
         p=_real_sequence("p", p, 0),

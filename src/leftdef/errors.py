@@ -19,3 +19,7 @@ class SolverOverflowError(LeftDefError, ArithmeticError):
 
 class NonCauchyError(LeftDefError, ValueError):
     """A family handed to the Cauchy diagnostics does not contract numerically."""
+
+
+class InertiaError(LeftDefError, ArithmeticError):
+    """A computed spectrum contradicts Sylvester's law of inertia for the pencil."""

@@ -3,8 +3,10 @@
 The section truncates to indices 1..N with u(0) = u(N+1) = 0, which makes L
 a symmetric positive-definite tridiagonal matrix (p > 0, q >= 0) while the
 diagonal weight W may be indefinite.  Two independent solvers cross-validate:
-a shooting method on the recurrence and a Cholesky reduction of the reciprocal
-pencil W u = mu L u to an ordinary symmetric eigenproblem.
+a shooting method on the recurrence, and a congruence that keeps the pencil in
+tridiagonal storage: the rows with w = 0 are removed by a Schur complement,
+T = |W|^-1/2 L |W|^-1/2 is factored as C C^T with C bidiagonal, and the
+symmetric tridiagonal C^T J C, J = sign(w), has the pencil's eigenvalues.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.linalg import cholesky_banded, eigh_tridiagonal, solve_banded
 
 from .coeffs import CoefficientSet
-from .errors import SolverOverflowError, ValidationError, WindowError
+from .errors import InertiaError, SolverOverflowError, ValidationError, WindowError
 from .operators import InitKind, solve_recurrence
 
 __all__ = [
@@ -26,10 +28,7 @@ __all__ = [
     "shooting_range",
     "eigen_shooting",
     "eigen_pencil",
-    "DENSE_CAP",
 ]
-
-DENSE_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,12 @@ class FiniteSection:
         return L
 
     def apply_L(self, u: np.ndarray) -> np.ndarray:
-        out = self.L_diag * u
-        out[:-1] += self.L_offdiag * u[1:]
-        out[1:] += self.L_offdiag * u[:-1]
-        return out
+        """L u for a length-N vector, or column by column for an N-by-m matrix."""
+        ut = np.asarray(u).T
+        out = self.L_diag * ut
+        out[..., :-1] += self.L_offdiag * ut[..., 1:]
+        out[..., 1:] += self.L_offdiag * ut[..., :-1]
+        return out.T
 
 
 @dataclass(frozen=True)
@@ -248,39 +249,87 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
     return SpectralResult(eigenvalues=dedup, method="shooting", brackets=brackets)
 
 
-def eigen_pencil(coeffs: CoefficientSet, N: int, dense_cap: int = DENSE_CAP,
-                 mu_cutoff: float | None = None) -> SpectralResult:
-    """All finite eigenvalues of (L, W) via Cholesky reduction.
+def _eliminate_zero_weights(fs: FiniteSection):
+    """Schur complement of L on the indices with w = 0.
 
-    Solves the reciprocal problem W u = mu L u: with L = C C^T the matrix
-    C^-1 W C^-T is symmetric, its eigenvalues mu are real, and lambda = 1/mu
-    for every |mu| above the cutoff (structural zeros of W give mu ~ 0 and
-    no finite lambda).
+    Eliminating a vertex of a path graph joins its two neighbours, so the
+    reduced L on the kept indices is again SPD tridiagonal.  Indices are
+    shifted by one to pad a dummy vertex at each end, joined by zero edges,
+    so the first and last rows need no special case.  The zeros are
+    eliminated left to right; when z goes, its row reads
+    ``d[z] u(z) + e[z] u(left) + e_right[z] u(z+1) = 0`` with ``left`` the
+    nearest kept index below z, which `_fill_zero_weights` solves right to
+    left for the eliminated entries of an eigenvector.
     """
-    if N > dense_cap:
-        raise ValidationError(f"N={N} above the dense solver cap {dense_cap}")
+    d = np.concatenate([[1.0], fs.L_diag, [1.0]])
+    e = np.concatenate([[0.0, 0.0], fs.L_offdiag, [0.0]])  # edge to the left neighbour
+    e_right = e[1:].copy()                                   # edge to k + 1 in L
+    zeros = np.flatnonzero(fs.W_diag == 0) + 1
+    left = np.empty_like(zeros)
+    lk = 0
+    for i, z in enumerate(zeros):
+        if z == 1 or fs.W_diag[z - 2] != 0:
+            lk = z - 1
+        left[i] = lk
+        d[lk] -= e[z] ** 2 / d[z]
+        d[z + 1] -= e_right[z] ** 2 / d[z]
+        e[z + 1] = -e[z] * e_right[z] / d[z]
+    keep = np.flatnonzero(fs.W_diag != 0) + 1
+    elim = (zeros, left, d[zeros], e[zeros], e_right[zeros])
+    return d[keep], e[keep[1:]], keep, elim
+
+
+def _fill_zero_weights(N: int, keep: np.ndarray, elim, U_keep: np.ndarray) -> np.ndarray:
+    """Embed eigenvectors of the reduced pencil into 1..N, solving the w = 0 rows."""
+    U = np.zeros((N + 2, U_keep.shape[1]))
+    U[keep] = U_keep
+    for z, lk, piv, el, er in zip(*(a[::-1] for a in elim)):
+        U[z] = -(el * U[lk] + er * U[z + 1]) / piv
+    return U[1:-1]
+
+
+def eigen_pencil(coeffs: CoefficientSet, N: int) -> SpectralResult:
+    """All finite eigenvalues of (L, W), by a tridiagonal congruence.
+
+    Indices with w = 0 carry infinite eigenvalues; they are removed by a
+    Schur complement of L, which keeps it SPD tridiagonal, and counted in
+    ``no_finite_count``.  On the rest, T = |W|^-1/2 L |W|^-1/2 = C C^T with
+    C lower bidiagonal, and with J = sign(w) the pencil L u = lambda W u has
+    exactly the eigenvalues of the symmetric tridiagonal C^T J C.  Its
+    eigenvectors y give u = |W|^-1/2 C^-T y, and the eliminated entries
+    follow from their rows of L u = 0.  Residuals are ||L u - lambda W u||
+    / ||u||.  Since L is positive definite, Sylvester's law of inertia fixes
+    the number of positive and negative eigenvalues to the number of
+    positive and negative w(n); a result that breaks it raises InertiaError.
+    """
     fs = finite_section(coeffs, N)
-    if mu_cutoff is None:
-        mu_cutoff = 1e-12 * float(np.max(np.abs(fs.W_diag), initial=0.0))
+    a, b, keep, elim = _eliminate_zero_weights(fs)
+    if keep.size == 0:
+        return SpectralResult(eigenvalues=[], method="pencil", no_finite_count=N)
+    w = fs.W_diag[fs.W_diag != 0]
+    s = 1.0 / np.sqrt(np.abs(w))
+    J = np.sign(w)
+    try:
+        C = cholesky_banded(np.array([a * s * s, np.append(b * s[:-1] * s[1:], 0.0)]),
+                            lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise InertiaError("L is not numerically positive definite") from exc
+    c, sub = C[0], C[1, :-1]
 
-    C = cholesky(fs.L_matrix(), lower=True)  # fails iff L is not positive definite
-    A = solve_triangular(C, np.diag(fs.W_diag), lower=True)
-    M = solve_triangular(C, A.T, lower=True).T
-    M = 0.5 * (M + M.T)
-    mu, Y = eigh(M)
+    diag = c * c * J
+    diag[:-1] += sub * sub * J[1:]
+    lam, Y = eigh_tridiagonal(diag, sub * J[1:] * c[1:])
+    inertia = (int(np.sum(lam > 0)), int(np.sum(lam < 0)))
+    signs = (int(np.sum(w > 0)), int(np.sum(w < 0)))
+    if inertia != signs:
+        raise InertiaError(f"pencil inertia {inertia} != signs of w {signs}")
+    V = solve_banded((0, 1), np.array([np.insert(sub, 0, 0.0), c]), Y,
+                     overwrite_b=True, check_finite=False)
+    V *= s[:, None]
+    U = V if keep.size == N else _fill_zero_weights(N, keep, elim, V)
 
-    finite = np.abs(mu) > mu_cutoff
-    no_finite = int(np.sum(~finite))
-    lam = 1.0 / mu[finite]
-    U = solve_triangular(C.T, Y[:, finite], lower=False)
-
-    order = np.argsort(lam)
-    lam = lam[order]
-    U = U[:, order]
-    residuals = []
-    for k in range(lam.size):
-        u = U[:, k]
-        res = np.linalg.norm(fs.apply_L(u) - lam[k] * fs.W_diag * u)
-        residuals.append(float(res / np.linalg.norm(u)))
+    R = fs.apply_L(U)
+    R -= fs.W_diag[:, None] * U * lam
+    residuals = np.linalg.norm(R, axis=0) / np.linalg.norm(U, axis=0)
     return SpectralResult(eigenvalues=lam.tolist(), method="pencil",
-                          residuals=residuals, no_finite_count=no_finite)
+                          residuals=residuals.tolist(), no_finite_count=N - keep.size)

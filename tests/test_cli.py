@@ -149,3 +149,14 @@ def test_config_error_missing_init(capsys):
     status, _, err = run_cli(
         capsys, "solve", "--preset", "constant:p=1", "--lambda", "0", "--n", "3")
     assert status == 2
+
+
+@pytest.mark.parametrize("preset", ["constant:p=abc", "nosuch"])
+def test_bad_preset_is_config_error(capsys, preset):
+    status, out, err = run_cli(
+        capsys, "solve", "--preset", preset,
+        "--lambda", "0", "--u0", "0", "--u1", "1", "--n", "3")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("config-error:")
+    assert err.count("\n") == 1

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leftdef import (
+    InertiaError,
     Sequence,
     ValidationError,
     apply_L,
@@ -13,6 +16,7 @@ from leftdef import (
     shooting_function,
     shooting_range,
 )
+from leftdef import spectrum
 from leftdef.coeffs import CoefficientSet
 
 
@@ -160,10 +164,10 @@ class TestPencil:
         assert ev.dtype.kind == "f"
         assert np.all(np.diff(ev) > 0)
 
-    def test_dense_cap(self):
-        c = free_laplacian(600)
-        with pytest.raises(ValidationError):
-            eigen_pencil(c, 560)
+    def test_closed_form_above_old_dense_cap(self):
+        res = eigen_pencil(free_laplacian(602), 600)
+        np.testing.assert_allclose(res.eigenvalues, closed_form(600), atol=1e-8)
+        assert res.no_finite_count == 0
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(17)
@@ -192,3 +196,69 @@ def test_shooting_range_rejects_zero_weight():
                        w=Sequence(1, [1.0, 0.0, 2.0]))
     with pytest.raises(ValidationError):
         shooting_range(c, 3)
+
+
+WEIGHTS = st.one_of(st.just(0.0), st.floats(0.1, 5.0), st.floats(-5.0, -0.1))
+
+
+def explicit(w, p=None, q=None):
+    n = len(w)
+    return CoefficientSet(p=Sequence(0, np.ones(n + 1) if p is None else p),
+                          q=Sequence(0, np.zeros(n + 1) if q is None else q),
+                          w=Sequence(1, np.asarray(w, dtype=float))), n
+
+
+@st.composite
+def pencils(draw):
+    """Random, periodic (clustered spectrum) and zero-weight sections, N = 1..40."""
+    N = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        def cycle(values):
+            return draw(st.lists(values, min_size=1, max_size=3))
+        c = make_preset("periodic", {"p": cycle(st.floats(0.5, 2.0)),
+                                     "q": cycle(st.floats(0.0, 1.0)),
+                                     "w": cycle(WEIGHTS)}, length=N + 1)
+        return c, N
+
+    def floats(lo, hi, n):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+    return explicit(draw(st.lists(WEIGHTS, min_size=N, max_size=N)),
+                    p=floats(0.1, 10.0, N + 1), q=floats(0.0, 5.0, N + 1))
+
+
+@given(pencils())
+@settings(max_examples=200, deadline=None)
+@example(explicit([0.0, 0.0, 0.0, 0.0]))
+@example(explicit([0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 0.0, 3.0, 0.0]))
+@example(explicit([0.0]))
+@example(explicit([-1.0]))
+def test_pencil_matches_dense_generalized_eig(instance):
+    c, N = instance
+    res = eigen_pencil(c, N)
+    fs = finite_section(c, N)
+    w = fs.W_diag
+    nzero = int(np.sum(w == 0))
+    # The N - nzero smallest |alpha/beta| of the QZ oracle are the finite ones.
+    vals = scipy.linalg.eig(fs.L_matrix(), np.diag(w), right=False)
+    vals = vals[np.argsort(np.where(np.isfinite(vals), np.abs(vals), np.inf))]
+    ref = np.sort(vals[:N - nzero].real)
+    ev = np.asarray(res.eigenvalues)
+
+    assert res.no_finite_count == nzero
+    assert ev.size == ref.size == len(res.residuals)
+    assert (np.sum(ev > 0), np.sum(ev < 0)) == (np.sum(w > 0), np.sum(w < 0))
+    lam_max = np.max(np.abs(ref), initial=0.0)
+    np.testing.assert_allclose(ev, ref, rtol=0, atol=1e-9 * max(1.0, lam_max))
+    scale = np.max(np.abs(fs.L_diag)) + np.max(np.abs(w)) * lam_max
+    assert all(r <= 1e-8 * scale for r in res.residuals)
+
+
+def test_pencil_inertia_violation_raises(monkeypatch):
+    def flipped(d, e):
+        lam, Y = scipy.linalg.eigh_tridiagonal(d, e)
+        return -lam[::-1], Y[:, ::-1]
+
+    c = indefinite_coeffs(np.random.default_rng(19), 8)
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", flipped)
+    with pytest.raises(InertiaError):
+        eigen_pencil(c, 8)
