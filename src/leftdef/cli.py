@@ -30,7 +30,11 @@ def _num(x) -> str:
 
 
 def parse_preset(text: str):
-    """Inline preset grammar: name:key=value,key=value,..."""
+    """Inline preset grammar: name:key=value,key=value,...
+
+    Values are scalars, so the (lo, hi) pairs ``*_range`` of the random
+    preset can only be given through a --coeffs document.
+    """
     name, _, rest = text.partition(":")
     params = {}
     if rest:
@@ -38,6 +42,8 @@ def parse_preset(text: str):
             key, _, val = item.partition("=")
             if not key or not val:
                 raise ValueError(f"bad preset parameter {item!r}")
+            if key.endswith("_range"):
+                raise ValueError(f"{key} takes a (lo, hi) pair; give it in a --coeffs document")
             params[key] = float(val)
     return name, params
 
@@ -188,8 +194,7 @@ def cmd_spectrum(args):
     results = []
     if args.method in ("shooting", "both"):
         results.append(spec_mod.eigen_shooting(
-            coeffs, args.n, args.lambda_min, args.lambda_max,
-            grid=args.grid, tol=args.tol))
+            coeffs, args.n, args.lambda_min, args.lambda_max, tol=args.tol))
     if args.method in ("pencil", "both"):
         results.append(spec_mod.eigen_pencil(coeffs, args.n))
     if args.format == "json":
@@ -274,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["shooting", "pencil", "both"], default="both")
     p.add_argument("--lambda-min", type=float, default=None)
     p.add_argument("--lambda-max", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-12)
     add_common(p)
     p.set_defaults(fn=cmd_spectrum)

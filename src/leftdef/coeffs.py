@@ -148,8 +148,10 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
     Presets:
       constant  p, q, w constant; params p, q, w (defaults 1, 0, 1)
       power     p(n) = (n+1)**p_exp, q(n) = q_scale*n**q_exp, w(n) = (-1)**n * n**w_exp
-      periodic  p, q, w cycle through the given lists (params p, q, w)
-      random    uniform draws p in [0.1, 10], q in [0, 5], w in [-5, 5]
+      periodic  p, q, w cycle through the given lists (params p, q, w; a
+                scalar is a one-entry cycle)
+      random    uniform draws p in [0.1, 10], q in [0, 5], w in [-5, 5]; params
+                p_range, q_range, w_range override these as (lo, hi) pairs
     """
     if name not in PRESETS:
         raise ValidationError(f"unknown preset {name!r}")
@@ -168,17 +170,24 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
         q = float(params.get("q_scale", 1.0)) * n0 ** float(params.get("q_exp", 0.0))
         w = (-1.0) ** n1 * n1 ** float(params.get("w_exp", 0.0))
     elif name == "periodic":
-        pc = np.asarray(params.get("p", [1.0, 2.0]), dtype=float)
-        qc = np.asarray(params.get("q", [0.0, 1.0]), dtype=float)
-        wc = np.asarray(params.get("w", [1.0, -1.0]), dtype=float)
-        p = pc[np.arange(length) % len(pc)]
-        q = qc[np.arange(length) % len(qc)]
-        w = wc[np.arange(1, length + 1) % len(wc)]
+        def cycle(key, default, start):
+            c = np.atleast_1d(np.asarray(params.get(key, default), dtype=float))
+            if c.ndim != 1 or c.size == 0:
+                raise ValidationError(f"periodic {key} must be a non-empty list")
+            return c[np.arange(start, start + length) % c.size]
+        p = cycle("p", [1.0, 2.0], 0)
+        q = cycle("q", [0.0, 1.0], 0)
+        w = cycle("w", [1.0, -1.0], 1)
     else:  # random
+        def bounds(key):
+            r = np.asarray(params.get(key, _RANDOM_RANGES[key[0]]), dtype=float)
+            if r.shape != (2,):
+                raise ValidationError(f"random {key} must be a (lo, hi) pair")
+            return r
         rng = np.random.default_rng(rng_seed)
-        plo, phi = params.get("p_range", _RANDOM_RANGES["p"])
-        qlo, qhi = params.get("q_range", _RANDOM_RANGES["q"])
-        wlo, whi = params.get("w_range", _RANDOM_RANGES["w"])
+        plo, phi = bounds("p_range")
+        qlo, qhi = bounds("q_range")
+        wlo, whi = bounds("w_range")
         if plo <= 0 or qlo < 0:
             raise ValidationError("random ranges must keep p > 0 and q >= 0")
         p = rng.uniform(plo, phi, length)

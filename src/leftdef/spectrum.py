@@ -2,11 +2,15 @@
 
 The section truncates to indices 1..N with u(0) = u(N+1) = 0, which makes L
 a symmetric positive-definite tridiagonal matrix (p > 0, q >= 0) while the
-diagonal weight W may be indefinite.  Two independent solvers cross-validate:
-a shooting method on the recurrence, and a congruence that keeps the pencil in
-tridiagonal storage: the rows with w = 0 are removed by a Schur complement,
-T = |W|^-1/2 L |W|^-1/2 is factored as C C^T with C bidiagonal, and the
-symmetric tridiagonal C^T J C, J = sign(w), has the pencil's eigenvalues.
+diagonal weight W may be indefinite.  Two independent solvers cross-validate.
+Shooting counts the sign changes of the recurrence solution u(0) = 0,
+u(1) = 1, which are the negative pivots of L - lambda W, and bisects for each
+eigenvalue by its index in that count (Sylvester's law of inertia gives the
+range: #(w > 0) positive and #(w < 0) negative eigenvalues).  The congruence
+keeps the pencil in tridiagonal storage: the rows with w = 0 are removed by a
+Schur complement, T = |W|^-1/2 L |W|^-1/2 is factored as C C^T with C
+bidiagonal, and the symmetric tridiagonal C^T J C, J = sign(w), has the
+pencil's eigenvalues.
 """
 
 from __future__ import annotations
@@ -58,7 +62,11 @@ class FiniteSection:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Sorted real eigenvalues with per-method diagnostics."""
+    """Sorted real eigenvalues with per-method diagnostics.
+
+    ``residuals`` (pencil) are ||L u - lambda W u|| / ||u||; ``brackets``
+    (shooting) are the final bisection intervals (lo, hi), one per eigenvalue.
+    """
 
     eigenvalues: list
     method: str
@@ -91,67 +99,24 @@ def shooting_function(coeffs: CoefficientSet, lam: float, N: int) -> float:
     return sol.values.at(N + 1).real
 
 
-def _scan_endpoint(coeffs: CoefficientSet, lams: np.ndarray, N: int) -> np.ndarray:
-    """Sign-preserving rescaled u_lam(N+1) for a whole array of real lambdas.
-
-    Rescaling by positive factors keeps the signs of the shooting function
-    while avoiding overflow for growing solutions.
-    """
-    pv = coeffs.p.real_window(0, N)
-    qv = coeffs.q.real_window(1, N)
-    wv = coeffs.w.real_window(1, N)
-    lams = np.asarray(lams, dtype=float)
-    u_prev = np.zeros_like(lams)
-    u_cur = np.ones_like(lams)
-    for n in range(1, N + 1):
-        u_next = ((pv[n] + pv[n - 1] + qv[n - 1] - lams * wv[n - 1]) * u_cur
-                  - pv[n - 1] * u_prev) / pv[n]
-        s = np.maximum(np.abs(u_next), np.abs(u_cur))
-        s = np.where((s > 1e100) | ((s > 0) & (s < 1e-100)), s, 1.0)
-        u_prev = u_cur / s
-        u_cur = u_next / s
-    if not np.all(np.isfinite(u_cur)):
-        raise SolverOverflowError("shooting scan overflowed")
-    return u_cur
-
-
-def shooting_range(coeffs: CoefficientSet, N: int, margin: float = 1.05) -> tuple:
-    """A symmetric lambda range containing every finite section eigenvalue.
-
-    Gershgorin applied to the pencil row with the largest eigenvector entry:
-    |lambda| |w(i)| <= |L_ii| + sum of |offdiagonals|, so the maximum of the
-    row sums over |w| bounds the spectrum whenever w has no zero entries.
-    """
-    fs = finite_section(coeffs, N)
-    rowsum = np.abs(fs.L_diag).astype(float)
-    rowsum[:-1] += np.abs(fs.L_offdiag)
-    rowsum[1:] += np.abs(fs.L_offdiag)
-    wabs = np.abs(fs.W_diag)
-    if np.any(wabs == 0):
-        raise ValidationError("shooting range bound needs w without zero entries")
-    B = float(np.max(rowsum / wabs)) * margin
-    return (-B, B)
-
-
 def _sturm_count(fs: FiniteSection, lams) -> np.ndarray:
     """Negative-pivot count of L - lam W, vectorized over real lam.
 
-    The LDL^T pivots of the tridiagonal L - lam W follow a scalar recurrence;
-    the number of negative pivots is the number of eigenvalues of L - lam W
-    below zero.  Tiny pivots are pushed away from zero, sign-preserving.
+    The LDL^T pivots of the tridiagonal L - lam W are d(n) = p(n) u(n+1)/u(n)
+    for the shooting solution u(0) = 0, u(1) = 1, so the number of negative
+    pivots is the number of sign changes of u on 1..N+1, and also the number
+    of eigenvalues of L - lam W below zero.  Tiny pivots are pushed away from
+    zero, sign-preserving.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    a, b, w = fs.L_diag, fs.L_offdiag, fs.W_diag
-    pivmin = 1e-290
-
-    def clamp(d):
-        return np.where(np.abs(d) < pivmin, np.where(d < 0, -pivmin, pivmin), d)
-
-    d = clamp(a[0] - lams * w[0])
-    cnt = (d < 0).astype(np.int64)
+    a, w = fs.L_diag, fs.W_diag
+    b2 = np.concatenate([[0.0], fs.L_offdiag ** 2])  # no coupling above row 1
+    d = np.ones_like(lams)
+    cnt = np.zeros(lams.shape, dtype=np.int64)
     with np.errstate(over="ignore"):
-        for i in range(1, fs.N):
-            d = clamp(a[i] - lams * w[i] - b[i - 1] ** 2 / d)
+        for i in range(fs.N):
+            d = a[i] - lams * w[i] - b2[i] / d
+            d = np.copysign(np.maximum(np.abs(d), 1e-290), d)
             cnt += d < 0
     return cnt
 
@@ -161,92 +126,71 @@ def _signed_count(fs: FiniteSection, lams) -> np.ndarray:
 
     For lam > 0 this is the number of eigenvalues in (0, lam); for lam < 0,
     minus the number in (lam, 0).  Differences of this function count the
-    eigenvalues in any interval, which catches roots a sign scan straddles.
+    eigenvalues in any interval.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     return np.where(lams >= 0, 1, -1) * _sturm_count(fs, lams)
 
 
-def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = None,
-                   lambda_max: float | None = None, grid: int | None = None,
-                   tol: float = 1e-12) -> SpectralResult:
-    """Scan the shooting function for sign changes and bisect each bracket.
+def shooting_range(coeffs: CoefficientSet, N: int) -> tuple:
+    """A symmetric lambda range containing every finite section eigenvalue.
 
-    The bisection stops at width tol * max(1, |lambda|); roots closer than
-    10 * tol are merged.  Defaults: the Gershgorin-derived range and a grid
-    of 512 * N points.  Grid cells holding an even number of roots produce
-    no sign change; those are detected by the pivot count of L - lam W and
-    split by count bisection until each bracket isolates one root.
+    L is positive definite, so by Sylvester's law of inertia the pencil has
+    exactly #(w > 0) positive and #(w < 0) negative finite eigenvalues.  B
+    is doubled from 1 until the pivot counts at -B and B reach those
+    numbers; zero weights only add infinite eigenvalues, which no count sees.
+    Raises SolverOverflowError when B overflows before the counts are met.
+    """
+    fs = finite_section(coeffs, N)
+    target = [int(np.sum(fs.W_diag < 0)), int(np.sum(fs.W_diag > 0))]
+    B = 1.0
+    while _sturm_count(fs, [-B, B]).tolist() != target:
+        B *= 2.0
+        if not np.isfinite(B):
+            raise SolverOverflowError("an eigenvalue lies beyond the float range")
+    return (-B, B)
+
+
+def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = None,
+                   lambda_max: float | None = None,
+                   tol: float = 1e-12) -> SpectralResult:
+    """Every eigenvalue in (lambda_min, lambda_max], by Sturm bisection on its index.
+
+    With G(lam) the number of eigenvalues in (lambda_min, lam], read from the
+    sign changes of the shooting solution, the i-th eigenvalue is the least
+    lam with G(lam) >= i.  Each i = 1..G(lambda_max) starts from the whole
+    range, and all of them are halved together until the width is at most
+    tol * max(1, |lambda|), as in LAPACK dstebz.  A missing end takes the
+    matching end of `shooting_range`.  ``brackets`` holds the final
+    [lo, hi] of each eigenvalue.
     """
     if lambda_min is None or lambda_max is None:
-        lambda_min, lambda_max = shooting_range(coeffs, N)
-    if not lambda_min < lambda_max:
-        raise ValidationError("need lambda_min < lambda_max")
-    if grid is None:
-        grid = 512 * N
-    if grid < 2:
-        raise ValidationError("need grid >= 2")
+        lo_range, hi_range = shooting_range(coeffs, N)
+        lambda_min = lo_range if lambda_min is None else lambda_min
+        lambda_max = hi_range if lambda_max is None else lambda_max
+    if not (np.isfinite(lambda_min) and np.isfinite(lambda_max)
+            and lambda_min < lambda_max):
+        raise ValidationError("need finite lambda_min < lambda_max")
     if tol <= 0:
         raise ValidationError("need tol > 0")
 
     fs = finite_section(coeffs, N)
-    xs = np.linspace(lambda_min, lambda_max, grid)
-    fvals = _scan_endpoint(coeffs, xs, N)
-    counts = _signed_count(fs, xs)
-
-    exact = xs[fvals == 0.0]
-    cells = np.nonzero(np.diff(counts) > 0)[0]
-
-    def count_one(x):
-        return int(_signed_count(fs, x)[0])
-
-    # Split multi-root cells until each bracket isolates exactly one root.
-    unit = []
-    stack = [(float(xs[i]), float(xs[i + 1]), int(counts[i]), int(counts[i + 1]))
-             for i in cells]
-    while stack:
-        lo, hi, clo, chi = stack.pop()
-        if chi - clo == 1 or hi - lo <= tol * max(1.0, abs(lo), abs(hi)):
-            unit.append((lo, hi, clo, chi))
-            continue
+    base, top = _signed_count(fs, [lambda_min, lambda_max])
+    index = np.arange(1, top - base + 1)
+    lo = np.full(index.size, float(lambda_min))
+    hi = np.full(index.size, float(lambda_max))
+    while True:
         mid = 0.5 * (lo + hi)
-        cmid = count_one(mid)
-        if cmid > clo:
-            stack.append((lo, mid, clo, cmid))
-        if chi > cmid:
-            stack.append((mid, hi, cmid, chi))
-
-    brackets = [(lo, hi) for lo, hi, _, _ in sorted(unit)]
-    if unit:
-        lo = np.array([b[0] for b in unit])
-        hi = np.array([b[1] for b in unit])
-        clo = np.array([b[2] for b in unit])
-        flo = _scan_endpoint(coeffs, lo, N)
-        fhi = _scan_endpoint(coeffs, hi, N)
-        # Sign bisection where the endpoint signs differ, count bisection
-        # in brackets recovered from straddled cells.
-        use_sign = flo * fhi < 0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if np.all(hi - lo <= tol * np.maximum(1.0, np.abs(mid))):
-                break
-            fm = _scan_endpoint(coeffs, mid, N)
-            cm = _signed_count(fs, mid)
-            left = np.where(use_sign, flo * fm < 0, cm > clo)
-            hit = use_sign & (fm == 0.0)
-            hi = np.where(left | hit, mid, hi)
-            flo = np.where(left | hit, flo, fm)
-            lo = np.where(hit, mid, np.where(left, lo, mid))
-        roots = 0.5 * (lo + hi)
-    else:
-        roots = np.empty(0)
-
-    roots = np.sort(np.concatenate([roots, exact]))
-    dedup = []
-    for r in roots:
-        if not dedup or r - dedup[-1] > 10 * tol * max(1.0, abs(r)):
-            dedup.append(float(r))
-    return SpectralResult(eigenvalues=dedup, method="shooting", brackets=brackets)
+        # Stop at the width, or when no float lies strictly inside.
+        act = np.flatnonzero((hi - lo > tol * np.maximum(1.0, np.abs(mid)))
+                             & (lo < mid) & (mid < hi))
+        if act.size == 0:
+            break
+        left = _signed_count(fs, mid[act]) - base >= index[act]
+        hi[act] = np.where(left, mid[act], hi[act])
+        lo[act] = np.where(left, lo[act], mid[act])
+    return SpectralResult(eigenvalues=(0.5 * (lo + hi)).tolist(), method="shooting",
+                          brackets=list(zip(lo.tolist(), hi.tolist())))
 
 
 def _eliminate_zero_weights(fs: FiniteSection):
@@ -309,9 +253,12 @@ def eigen_pencil(coeffs: CoefficientSet, N: int) -> SpectralResult:
     w = fs.W_diag[fs.W_diag != 0]
     s = 1.0 / np.sqrt(np.abs(w))
     J = np.sign(w)
+    with np.errstate(over="ignore"):
+        T = np.array([a * s * s, np.append(b * s[:-1] * s[1:], 0.0)])
+    if not np.all(np.isfinite(T)):
+        raise SolverOverflowError("a weight so small that |W|^-1/2 L |W|^-1/2 overflows")
     try:
-        C = cholesky_banded(np.array([a * s * s, np.append(b * s[:-1] * s[1:], 0.0)]),
-                            lower=True)
+        C = cholesky_banded(T, lower=True)
     except np.linalg.LinAlgError as exc:
         raise InertiaError("L is not numerically positive definite") from exc
     c, sub = C[0], C[1, :-1]

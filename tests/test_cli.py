@@ -160,3 +160,38 @@ def test_bad_preset_is_config_error(capsys, preset):
     assert out == ""
     assert err.startswith("config-error:")
     assert err.count("\n") == 1
+
+
+def test_scalar_periodic_parameter_is_one_entry_cycle(capsys):
+    status, out, err = run_cli(
+        capsys, "spectrum", "--preset", "periodic:p=2", "--n", "4")
+    assert status == 0
+    assert err == ""
+    assert len(out.strip().splitlines()) == 5
+
+
+def test_inline_range_parameter_is_config_error(capsys):
+    status, out, err = run_cli(
+        capsys, "spectrum", "--preset", "random:p_range=1", "--n", "3")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("config-error:")
+    assert err.count("\n") == 1
+
+
+def test_spectrum_zero_weights(tmp_path, capsys):
+    status, out, _ = run_cli(
+        capsys, "spectrum", "--preset", "constant:w=0", "--n", "4", "--length", "8")
+    assert status == 0
+    assert out.strip().splitlines() == ["k,shooting,pencil"]
+
+    doc = tmp_path / "c.json"
+    doc.write_text(json.dumps({"preset": {"name": "periodic",
+                                          "params": {"w": [1, 0, -2]}, "length": 10}}))
+    status, out, _ = run_cli(capsys, "spectrum", "--coeffs", str(doc), "--n", "8",
+                             "--method", "both", "--format", "json")
+    assert status == 0
+    shoot, pencil = json.loads(out)
+    assert pencil["no_finite_count"] == 3
+    assert len(shoot["eigenvalues"]) == len(pencil["eigenvalues"]) == 5
+    np.testing.assert_allclose(shoot["eigenvalues"], pencil["eigenvalues"], rtol=1e-10)

@@ -88,6 +88,15 @@ def test_make_preset_errors():
         make_preset("constant", length=1)
     with pytest.raises(ValidationError):
         make_preset("random", {"p_range": (-1, 1)}, length=4)
+    with pytest.raises(ValidationError):
+        make_preset("periodic", {"w": []}, length=4)
+
+
+@pytest.mark.parametrize("p_range", [1, [1, 2, 3]])
+def test_preset_document_range_must_be_pair(p_range):
+    doc = {"preset": {"name": "random", "params": {"p_range": p_range}, "length": 6}}
+    with pytest.raises(ValidationError, match="p_range"):
+        load_coefficients(json.dumps(doc))
 
 
 def test_periodic_and_power_presets_validate():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from leftdef import (
     InertiaError,
+    LeftDefError,
     Sequence,
     ValidationError,
     apply_L,
@@ -94,16 +95,19 @@ class TestShooting:
 
     def test_eigen_shooting_closed_form(self):
         c = free_laplacian()
-        res = eigen_shooting(c, 8, 0.0, 4.1, grid=4096, tol=1e-10)
+        res = eigen_shooting(c, 8, 0.0, 4.1, tol=1e-10)
         assert len(res.eigenvalues) == 8
         np.testing.assert_allclose(res.eigenvalues, closed_form(8), atol=1e-8)
         assert len(res.brackets) == 8
+        # A tolerance below the float spacing stops at adjacent floats.
+        fine = eigen_shooting(c, 8, 0.0, 4.1, tol=1e-30)
+        np.testing.assert_allclose(fine.eigenvalues, closed_form(8), atol=1e-12)
 
     def test_negative_weight_negates_roots(self):
         pos = make_preset("constant", {"p": 1.0, "q": 0.0, "w": 1.0}, length=16)
         neg = make_preset("constant", {"p": 1.0, "q": 0.0, "w": -1.0}, length=16)
-        a = eigen_shooting(pos, 8, 0.0, 4.1, grid=4096, tol=1e-10)
-        b = eigen_shooting(neg, 8, -4.1, 0.0, grid=4096, tol=1e-10)
+        a = eigen_shooting(pos, 8, 0.0, 4.1, tol=1e-10)
+        b = eigen_shooting(neg, 8, -4.1, 0.0, tol=1e-10)
         np.testing.assert_allclose(sorted(-x for x in b.eigenvalues),
                                    a.eigenvalues, atol=1e-9)
 
@@ -118,14 +122,30 @@ class TestShooting:
         for a, b in zip(shoot.eigenvalues, in_range):
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
+    def test_one_sided_window_keeps_given_end(self):
+        c = free_laplacian()
+        exact = closed_form(4)
+        above = eigen_shooting(c, 4, lambda_min=2.0)
+        np.testing.assert_allclose(above.eigenvalues, exact[exact > 2.0], atol=1e-10)
+        below = eigen_shooting(c, 4, lambda_max=2.0)
+        np.testing.assert_allclose(below.eigenvalues, exact[exact < 2.0], atol=1e-10)
+
+    def test_brackets_hold_their_eigenvalues(self):
+        c = indefinite_coeffs(np.random.default_rng(20), 12)
+        res = eigen_shooting(c, 12)
+        assert len(res.brackets) == len(res.eigenvalues) == 12
+        for (lo, hi), x in zip(res.brackets, res.eigenvalues):
+            assert lo <= x <= hi
+            assert hi - lo <= 1e-12 * max(1.0, abs(x))
+
     def test_bad_config(self):
         c = free_laplacian()
         with pytest.raises(ValidationError):
             eigen_shooting(c, 4, 2.0, 1.0)
         with pytest.raises(ValidationError):
-            eigen_shooting(c, 4, 0.0, 1.0, grid=1)
-        with pytest.raises(ValidationError):
             eigen_shooting(c, 4, 0.0, 1.0, tol=0.0)
+        with pytest.raises(ValidationError):
+            eigen_shooting(c, 4, 0.0, np.inf)
 
 
 class TestPencil:
@@ -191,11 +211,13 @@ def test_shooting_range_contains_pencil_spectrum():
         assert all(lo <= x <= hi for x in ev)
 
 
-def test_shooting_range_rejects_zero_weight():
-    c = CoefficientSet(p=Sequence(0, np.ones(5)), q=Sequence(0, np.zeros(5)),
-                       w=Sequence(1, [1.0, 0.0, 2.0]))
-    with pytest.raises(ValidationError):
-        shooting_range(c, 3)
+def test_shooting_range_accepts_zero_weight():
+    c = CoefficientSet(p=Sequence(0, np.ones(7)), q=Sequence(0, np.zeros(7)),
+                       w=Sequence(1, [1.0, 0.0, -2.0, 0.0, 0.5]))
+    lo, hi = shooting_range(c, 5)
+    ev = eigen_pencil(c, 5).eigenvalues
+    assert len(ev) == 3
+    assert all(lo <= x <= hi for x in ev)
 
 
 WEIGHTS = st.one_of(st.just(0.0), st.floats(0.1, 5.0), st.floats(-5.0, -0.1))
@@ -232,9 +254,14 @@ def pencils(draw):
 @example(explicit([0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 0.0, 3.0, 0.0]))
 @example(explicit([0.0]))
 @example(explicit([-1.0]))
+# Two mirror halves joined by p(4) = 1e-10: eigenvalues come in close pairs.
+@example(explicit([1.0, -2.0, 1.5, 0.7, 0.7, 1.5, -2.0, 1.0],
+                  p=np.array([1.0, 1.5, 2.0, 1.2, 1e-10, 1.2, 2.0, 1.5, 1.0]),
+                  q=np.full(9, 0.3)))
+# An eigenvalue near 2 / 5e-324 lies beyond the float range.
+@example(explicit([1.0, 5e-324, -1.0]))
 def test_pencil_matches_dense_generalized_eig(instance):
     c, N = instance
-    res = eigen_pencil(c, N)
     fs = finite_section(c, N)
     w = fs.W_diag
     nzero = int(np.sum(w == 0))
@@ -242,6 +269,12 @@ def test_pencil_matches_dense_generalized_eig(instance):
     vals = scipy.linalg.eig(fs.L_matrix(), np.diag(w), right=False)
     vals = vals[np.argsort(np.where(np.isfinite(vals), np.abs(vals), np.inf))]
     ref = np.sort(vals[:N - nzero].real)
+    if not np.all(np.isfinite(ref)):
+        for solver in (eigen_pencil, eigen_shooting):
+            with pytest.raises(LeftDefError):
+                solver(c, N)
+        return
+    res = eigen_pencil(c, N)
     ev = np.asarray(res.eigenvalues)
 
     assert res.no_finite_count == nzero
@@ -251,6 +284,11 @@ def test_pencil_matches_dense_generalized_eig(instance):
     np.testing.assert_allclose(ev, ref, rtol=0, atol=1e-9 * max(1.0, lam_max))
     scale = np.max(np.abs(fs.L_diag)) + np.max(np.abs(w)) * lam_max
     assert all(r <= 1e-8 * scale for r in res.residuals)
+
+    shoot = np.asarray(eigen_shooting(c, N).eigenvalues)
+    assert shoot.size == ref.size
+    assert np.all(np.abs(shoot - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
+    assert np.all(np.abs(shoot - ev) <= 1e-8 * np.maximum(1.0, np.abs(ev)))
 
 
 def test_pencil_inertia_violation_raises(monkeypatch):
