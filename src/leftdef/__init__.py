@@ -32,6 +32,7 @@ from .operators import (
     Solution,
     WronskianValue,
     apply_L,
+    recurrence,
     solve_recurrence,
     wronskian,
     wronskian_constancy_report,

@@ -89,13 +89,30 @@ class Sequence:
         return hash((self.offset, self.values.tobytes()))
 
 
+def _require(name: str, ok: np.ndarray, offset: int, what: str):
+    """Raise ValidationError naming the first index, along axis 0, where ok fails."""
+    if not np.all(ok):
+        first = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
+        raise ValidationError(f"{name}({first + offset}) {what}")
+
+
+def _check_coefficients(p: np.ndarray, q: np.ndarray, w: np.ndarray):
+    """p > 0, q >= 0 and p, q, w finite, along axis 0 (p, q from index 0, w from 1).
+
+    Trailing axes hold separate instances; an error names the first index
+    at which any of them fails.
+    """
+    for name, vals, offset in (("p", p, 0), ("q", q, 0), ("w", w, 1)):
+        _require(name, np.isfinite(vals), offset, "is not finite")
+    _require("p", p > 0, 0, "not strictly positive")
+    _require("q", q >= 0, 0, "negative")
+
+
 def _real_sequence(name: str, arr, offset: int) -> Sequence:
     vals = np.asarray(arr, dtype=float)
     if vals.ndim != 1 or vals.size < 1:
         raise ValidationError(f"{name} must be a non-empty 1-d array")
-    for i, v in enumerate(vals):
-        if not np.isfinite(v):
-            raise ValidationError(f"{name}({i + offset}) is not finite")
+    _require(name, np.isfinite(vals), offset, "is not finite")
     return Sequence(offset, vals)
 
 
@@ -116,14 +133,8 @@ class CoefficientSet:
         for name, seq in (("p", self.p), ("q", self.q), ("w", self.w)):
             if not seq.is_real:
                 raise ValidationError(f"{name} must be real-valued")
-        pv = self.p.values.real
         qv = self.q.values.real
-        for i, v in enumerate(pv):
-            if v <= 0:
-                raise ValidationError(f"p({i}) not strictly positive")
-        for i, v in enumerate(qv):
-            if v < 0:
-                raise ValidationError(f"q({i}) negative")
+        _check_coefficients(self.p.values.real, qv, self.w.values.real)
         object.__setattr__(self, "q_nontrivial", bool(np.any(qv > 0)))
 
     def p_at(self, n: int) -> float:

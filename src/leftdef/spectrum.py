@@ -161,18 +161,22 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
     lam with G(lam) >= i.  Each i = 1..G(lambda_max) starts from the whole
     range, and all of them are halved together until the width is at most
     tol * max(1, |lambda|), as in LAPACK dstebz.  A missing end takes the
-    matching end of `shooting_range`.  ``brackets`` holds the final
-    [lo, hi] of each eigenvalue.
+    matching end of `shooting_range`; when the given end lies beyond it, the
+    window holds no eigenvalue and the result is empty.  ``brackets`` holds
+    the final [lo, hi] of each eigenvalue.
     """
+    one_sided = (lambda_min is None) != (lambda_max is None)
     if lambda_min is None or lambda_max is None:
         lo_range, hi_range = shooting_range(coeffs, N)
         lambda_min = lo_range if lambda_min is None else lambda_min
         lambda_max = hi_range if lambda_max is None else lambda_max
     if not (np.isfinite(lambda_min) and np.isfinite(lambda_max)
-            and lambda_min < lambda_max):
+            and (one_sided or lambda_min < lambda_max)):
         raise ValidationError("need finite lambda_min < lambda_max")
     if tol <= 0:
         raise ValidationError("need tol > 0")
+    if lambda_min >= lambda_max:  # one given end, beyond every eigenvalue
+        return SpectralResult(eigenvalues=[], method="shooting")
 
     fs = finite_section(coeffs, N)
     base, top = _signed_count(fs, [lambda_min, lambda_max])
@@ -245,6 +249,8 @@ def eigen_pencil(coeffs: CoefficientSet, N: int) -> SpectralResult:
     / ||u||.  Since L is positive definite, Sylvester's law of inertia fixes
     the number of positive and negative eigenvalues to the number of
     positive and negative w(n); a result that breaks it raises InertiaError.
+    A non-finite eigenvector entry or residual, from a weight so small that
+    the congruence loses the spectrum, raises SolverOverflowError.
     """
     fs = finite_section(coeffs, N)
     a, b, keep, elim = _eliminate_zero_weights(fs)
@@ -275,8 +281,12 @@ def eigen_pencil(coeffs: CoefficientSet, N: int) -> SpectralResult:
     V *= s[:, None]
     U = V if keep.size == N else _fill_zero_weights(N, keep, elim, V)
 
-    R = fs.apply_L(U)
-    R -= fs.W_diag[:, None] * U * lam
-    residuals = np.linalg.norm(R, axis=0) / np.linalg.norm(U, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = fs.apply_L(U)
+        R -= fs.W_diag[:, None] * U * lam
+        residuals = np.linalg.norm(R, axis=0) / np.linalg.norm(U, axis=0)
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(residuals))):
+        raise SolverOverflowError("an eigenvector or residual is not finite: a weight "
+                                  "too small for |W|^-1/2 L |W|^-1/2")
     return SpectralResult(eigenvalues=lam.tolist(), method="pencil",
                           residuals=residuals.tolist(), no_finite_count=N - keep.size)

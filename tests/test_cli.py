@@ -195,3 +195,26 @@ def test_spectrum_zero_weights(tmp_path, capsys):
     assert pencil["no_finite_count"] == 3
     assert len(shoot["eigenvalues"]) == len(pencil["eigenvalues"]) == 5
     np.testing.assert_allclose(shoot["eigenvalues"], pencil["eigenvalues"], rtol=1e-10)
+
+
+def test_spectrum_tiny_weight_exits_1(tmp_path, capsys):
+    doc = tmp_path / "c.json"
+    doc.write_text(json.dumps({"p": [1, 1, 1, 1], "q": [0, 0, 0, 0],
+                               "w": [1, 1e-300, -1]}))
+    status, out, err = run_cli(capsys, "spectrum", "--coeffs", str(doc), "--n", "3",
+                               "--method", "pencil")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: SolverOverflowError")
+
+
+def test_spectrum_one_sided_window_beyond_range(capsys):
+    common = ("spectrum", "--preset", "constant:p=1,q=0,w=1", "--n", "4",
+              "--method", "shooting")
+    for window in (("--lambda-min", "5"), ("--lambda-max", "-5")):
+        status, out, _ = run_cli(capsys, *common, *window)
+        assert status == 0
+        assert out.strip().splitlines() == ["k,shooting"]
+    status, out, err = run_cli(capsys, *common, "--lambda-min", "5", "--lambda-max", "1")
+    assert status == 1
+    assert "lambda_min < lambda_max" in err

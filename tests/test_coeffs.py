@@ -116,3 +116,35 @@ def test_coefficient_offsets_enforced():
     with pytest.raises(ValidationError):
         CoefficientSet(p=Sequence(1, [1.0]), q=Sequence(0, [0.0]),
                        w=Sequence(1, [1.0]))
+
+
+@pytest.mark.parametrize("index", [3, 7])
+def test_validation_names_first_bad_index_mid_and_last(index):
+    n = 8
+    p, q, w = np.ones(n), np.zeros(n), np.ones(n - 1)
+    bad_p, bad_q, bad_w = p.copy(), q.copy(), w.copy()
+    bad_p[index] = 0.0
+    with pytest.raises(ValidationError, match=rf"^p\({index}\) not strictly positive$"):
+        CoefficientSet(Sequence(0, bad_p), Sequence(0, q), Sequence(1, w))
+    bad_q[index] = -1e-300
+    bad_q[-1] = -1.0
+    with pytest.raises(ValidationError, match=rf"^q\({index}\) negative$"):
+        CoefficientSet(Sequence(0, p), Sequence(0, bad_q), Sequence(1, w))
+    bad_w[index - 1] = np.nan
+    doc = json.dumps({"p": p.tolist(), "q": q.tolist(), "w": bad_w.tolist()})
+    with pytest.raises(ValidationError, match=rf"^w\({index}\) is not finite$"):
+        load_coefficients(doc)
+
+
+def test_block_validation_names_first_index_across_columns():
+    from leftdef.coeffs import _check_coefficients
+
+    p, q, w = np.ones((6, 3)), np.zeros((6, 3)), np.ones((6, 3))
+    _check_coefficients(p, q, w)
+    p[4, 0] = -1.0
+    p[2, 2] = 0.0
+    with pytest.raises(ValidationError, match=r"^p\(2\) not strictly positive$"):
+        _check_coefficients(p, q, w)
+    w[5, 1] = np.inf
+    with pytest.raises(ValidationError, match=r"^w\(6\) is not finite$"):
+        _check_coefficients(np.ones((6, 3)), q, w)

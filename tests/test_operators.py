@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from leftdef import (
+    CoefficientSet,
     InitKind,
     Sequence,
     SolverOverflowError,
     ValidationError,
+    WindowError,
     apply_L,
     make_preset,
+    recurrence,
     solve_recurrence,
     wronskian,
     wronskian_constancy_report,
@@ -91,6 +94,83 @@ class TestSolveRecurrence:
         c = constant_coeffs()
         with pytest.raises(ValidationError):
             solve_recurrence(c, np.nan, InitKind.VALUE_PAIR, 0.0, 1.0, 5)
+
+
+def random_columns(rng, N, cols):
+    """Per-column coefficients p(0..N), q(0..N) and w(1..N) as (len, cols) arrays."""
+    return (rng.uniform(0.5, 2.0, (N + 1, cols)), rng.uniform(0.0, 1.0, (N + 1, cols)),
+            rng.uniform(-2.0, 2.0, (N, cols)))
+
+
+def column_coeffs(p, q, w, k):
+    return CoefficientSet(p=Sequence(0, p[:, k]), q=Sequence(0, q[:, k]),
+                          w=Sequence(1, w[:, k]))
+
+
+def scalar_loop(pv, qv, wv, lam, u0, u1):
+    """The recurrence step by step in numpy complex128 scalar arithmetic."""
+    N = len(qv)
+    u = np.empty(N + 2, dtype=np.complex128)
+    u[0], u[1] = u0, u1
+    for n in range(1, N + 1):
+        u[n + 1] = ((pv[n] + pv[n - 1] + qv[n - 1] - lam * wv[n - 1]) * u[n]
+                    - pv[n - 1] * u[n - 1]) / pv[n]
+    return u
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("lam", [1.5, 1.5 + 0j, -0.75 + 0.3j])
+    def test_matches_complex_scalar_loop(self, lam):
+        c = make_preset("random", length=300, rng_seed=9)
+        args = (c.p.real_window(0, 250), c.q.real_window(1, 250), c.w.real_window(1, 250))
+        u = recurrence(*args, lam, 0.25 - 1j, 1.0 + 0.5j)
+        np.testing.assert_array_equal(u, scalar_loop(*args, lam, 0.25 - 1j, 1.0 + 0.5j))
+
+    @pytest.mark.parametrize("kind", list(InitKind))
+    def test_batched_columns_equal_solve_recurrence_bitwise(self, kind):
+        rng = np.random.default_rng(21)
+        N, cols = 40, 7
+        p, q, w = random_columns(rng, N, cols)
+        lam = rng.uniform(-3, 3, cols) + 1j * rng.uniform(-1, 1, cols)
+        a = rng.normal(size=(cols, 2)) + 1j * rng.normal(size=(cols, 2))
+        b = rng.normal(size=(cols, 2)) + 1j * rng.normal(size=(cols, 2))
+        if kind is InitKind.VALUE_PAIR:
+            u0, u1 = a, b
+        else:  # u(0) = u(1) - (p Du)(0) / p(0), in solve_recurrence's arithmetic
+            u0 = np.array([[complex(a[k, j]) - complex(b[k, j]) / float(p[0, k])
+                            for j in range(2)] for k in range(cols)])
+            u1 = a
+        u = recurrence(p[:, :, None], q[1:, :, None], w[:, :, None], lam[:, None], u0, u1)
+        assert u.shape == (N + 2, cols, 2) and u.dtype == np.complex128
+        for k in range(cols):
+            c = column_coeffs(p, q, w, k)
+            for j in range(2):
+                ref = solve_recurrence(c, lam[k], kind, a[k, j], b[k, j], N).values.values
+                assert u[:, k, j].tobytes() == ref.tobytes()
+
+    def test_shared_coefficients_broadcast(self):
+        c = make_preset("random", length=30, rng_seed=2)
+        N = 28
+        lams = np.array([0.5, -1.0 + 0.25j, 3.0])
+        u = recurrence(c.p.real_window(0, N), c.q.real_window(1, N),
+                       c.w.real_window(1, N), lams, 0.0, 1.0)
+        for k, lam in enumerate(lams):
+            ref = solve_recurrence(c, lam, InitKind.VALUE_PAIR, 0.0, 1.0, N).values.values
+            assert u[:, k].tobytes() == ref.tobytes()
+
+    def test_one_overflowing_column_raises(self):
+        N = 78
+        p, q, w = np.ones(N + 1), np.zeros(N), np.ones(N)
+        lams = np.array([1.0, 2.0, -1e8, 0.5])
+        with pytest.raises(SolverOverflowError, match=r"column \(2,\)"):
+            recurrence(p, q, w, lams, 0.0, 1.0)
+        recurrence(p, q, w, np.delete(lams, 2), 0.0, 1.0)
+
+    def test_window_shapes_checked(self):
+        with pytest.raises(WindowError):
+            recurrence(np.ones(5), np.zeros(4), np.ones(3), 1.0, 0.0, 1.0)
+        with pytest.raises(WindowError):
+            recurrence(np.ones(1), np.zeros(0), np.ones(0), 1.0, 0.0, 1.0)
 
 
 class TestWronskian:

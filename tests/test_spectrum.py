@@ -8,6 +8,7 @@ from leftdef import (
     InertiaError,
     LeftDefError,
     Sequence,
+    SolverOverflowError,
     ValidationError,
     apply_L,
     eigen_pencil,
@@ -130,6 +131,16 @@ class TestShooting:
         below = eigen_shooting(c, 4, lambda_max=2.0)
         np.testing.assert_allclose(below.eigenvalues, exact[exact < 2.0], atol=1e-10)
 
+    def test_one_sided_window_beyond_range_is_empty(self):
+        c = free_laplacian()
+        lo, hi = shooting_range(c, 4)
+        for window in ({"lambda_min": hi + 1.0}, {"lambda_min": hi},
+                       {"lambda_max": lo - 1.0}):
+            res = eigen_shooting(c, 4, **window)
+            assert res.eigenvalues == [] and res.brackets == []
+        with pytest.raises(ValidationError):
+            eigen_shooting(c, 4, hi + 1.0, hi)
+
     def test_brackets_hold_their_eigenvalues(self):
         c = indefinite_coeffs(np.random.default_rng(20), 12)
         res = eigen_shooting(c, 12)
@@ -188,6 +199,13 @@ class TestPencil:
         res = eigen_pencil(free_laplacian(602), 600)
         np.testing.assert_allclose(res.eigenvalues, closed_form(600), atol=1e-8)
         assert res.no_finite_count == 0
+
+    def test_tiny_weight_raises_instead_of_wrong_spectrum(self):
+        # The exact spectrum is about [-1.414, 1.414, 2e300]; the congruence
+        # scales by 1e150 and loses the first two.
+        c, N = explicit([1.0, 1e-300, -1.0])
+        with pytest.raises(SolverOverflowError):
+            eigen_pencil(c, N)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(17)
