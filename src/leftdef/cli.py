@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,8 @@ def cmd_bounds(args):
 
 
 def cmd_verify(args):
+    if args.cases < 0:
+        raise SystemExit2(f"--cases must be >= 0, got {args.cases}")
     if args.suite == "all":
         results = run_all(args.seed, args.cases)
     else:
@@ -196,7 +199,14 @@ def cmd_spectrum(args):
         results.append(spec_mod.eigen_shooting(
             coeffs, args.n, args.lambda_min, args.lambda_max, tol=args.tol))
     if args.method in ("pencil", "both"):
-        results.append(spec_mod.eigen_pencil(coeffs, args.n))
+        # The shooting window (lambda_min, lambda_max], so that rows line up.
+        pencil = spec_mod.eigen_pencil(coeffs, args.n)
+        lam = np.array(pencil.eigenvalues)
+        lo, hi = (-np.inf if args.lambda_min is None else args.lambda_min,
+                  np.inf if args.lambda_max is None else args.lambda_max)
+        inside = (lo < lam) & (lam <= hi)
+        results.append(replace(pencil, eigenvalues=lam[inside].tolist(),
+                               residuals=np.array(pencil.residuals)[inside].tolist()))
     if args.format == "json":
         _emit([json.dumps([{
             "method": r.method,

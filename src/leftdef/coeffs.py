@@ -26,22 +26,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Sequence:
-    """A finite window of a complex-valued sequence.
+    """A finite window of a real (float64) or complex (complex128) sequence.
 
     ``offset`` is the index of the first stored entry; entry ``n`` is valid
-    for ``offset <= n < offset + len(values)``.
+    for ``offset <= n < offset + len(values)``.  Complex input stays complex
+    and anything else is stored as float64; the array is made read-only.
     """
 
     offset: int
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = np.asarray(self.values)
+        vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64, copy=False)
         if vals.ndim != 1 or vals.size < 1:
             raise ValidationError("sequence needs at least one entry")
         if self.offset < 0:
             raise ValidationError("offset must be >= 0")
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        if not np.all(np.isfinite(vals)):
             raise ValidationError("sequence entries must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -64,21 +66,15 @@ class Sequence:
                 f"{what} window [{self.offset}, {self.end}) does not cover {lo}..{hi}"
             )
 
-    def at(self, n: int) -> complex:
+    def at(self, n: int):
+        """Entry n as a numpy scalar of the stored dtype."""
         self.require(n, n)
-        return complex(self.values[n - self.offset])
+        return self.values[n - self.offset]
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Entries lo..hi inclusive as an array view."""
         self.require(lo, hi)
         return self.values[lo - self.offset : hi + 1 - self.offset]
-
-    @property
-    def is_real(self) -> bool:
-        return bool(np.all(self.values.imag == 0.0))
-
-    def real_window(self, lo: int, hi: int) -> np.ndarray:
-        return self.window(lo, hi).real
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -86,7 +82,8 @@ class Sequence:
         return self.offset == other.offset and np.array_equal(self.values, other.values)
 
     def __hash__(self):
-        return hash((self.offset, self.values.tobytes()))
+        # Equal real and complex windows must hash alike, so hash the complex bytes.
+        return hash((self.offset, self.values.astype(np.complex128, copy=False).tobytes()))
 
 
 def _require(name: str, ok: np.ndarray, offset: int, what: str):
@@ -118,7 +115,11 @@ def _real_sequence(name: str, arr, offset: int) -> Sequence:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The triple (p, q, w): p > 0 and q >= 0 on offset 0, w real on offset 1."""
+    """The triple (p, q, w): p > 0 and q >= 0 on offset 0, w real on offset 1.
+
+    The three are stored as float64 windows: a complex Sequence is accepted
+    when its imaginary part is zero, and replaced by its real part.
+    """
 
     p: Sequence
     q: Sequence
@@ -130,21 +131,14 @@ class CoefficientSet:
             raise ValidationError("p and q must start at index 0")
         if self.w.offset != 1:
             raise ValidationError("w must start at index 1")
-        for name, seq in (("p", self.p), ("q", self.q), ("w", self.w)):
-            if not seq.is_real:
-                raise ValidationError(f"{name} must be real-valued")
-        qv = self.q.values.real
-        _check_coefficients(self.p.values.real, qv, self.w.values.real)
-        object.__setattr__(self, "q_nontrivial", bool(np.any(qv > 0)))
-
-    def p_at(self, n: int) -> float:
-        return self.p.at(n).real
-
-    def q_at(self, n: int) -> float:
-        return self.q.at(n).real
-
-    def w_at(self, n: int) -> float:
-        return self.w.at(n).real
+        for name in ("p", "q", "w"):
+            seq = getattr(self, name)
+            if np.iscomplexobj(seq.values):
+                if np.any(seq.values.imag != 0.0):
+                    raise ValidationError(f"{name} must be real-valued")
+                object.__setattr__(self, name, Sequence(seq.offset, seq.values.real))
+        _check_coefficients(self.p.values, self.q.values, self.w.values)
+        object.__setattr__(self, "q_nontrivial", bool(np.any(self.q.values > 0)))
 
 
 _RANDOM_RANGES = {"p": (0.1, 10.0), "q": (0.0, 5.0), "w": (-5.0, 5.0)}
@@ -252,7 +246,7 @@ def load_coefficients(source) -> CoefficientSet:
 def serialize_coefficients(coeffs: CoefficientSet) -> str:
     """Inverse of load_coefficients for explicit triples (bit-exact round trip)."""
     return json.dumps({
-        "p": coeffs.p.values.real.tolist(),
-        "q": coeffs.q.values.real.tolist(),
-        "w": coeffs.w.values.real.tolist(),
+        "p": coeffs.p.values.tolist(),
+        "q": coeffs.q.values.tolist(),
+        "w": coeffs.w.values.tolist(),
     })

@@ -80,7 +80,7 @@ def apply_L(coeffs: CoefficientSet, u: Sequence) -> Sequence:
     N = min(u.end - 2, coeffs.p.end - 1, coeffs.q.end - 1)
     if N < 1:
         raise WindowError("insufficient window to apply L at any interior index")
-    out, _ = _apply_L(coeffs.p.real_window(0, N), coeffs.q.real_window(1, N),
+    out, _ = _apply_L(coeffs.p.window(0, N), coeffs.q.window(1, N),
                       u.window(0, N + 1))
     return Sequence(1, out)
 
@@ -165,10 +165,10 @@ def solve_recurrence(coeffs: CoefficientSet, lam: complex, init_kind: InitKind,
         u0, u1 = complex(a), complex(b)
     else:
         u1 = complex(a)
-        u0 = u1 - complex(b) / coeffs.p_at(0)
+        u0 = u1 - complex(b) / coeffs.p.at(0)
 
-    u = recurrence(coeffs.p.real_window(0, N), coeffs.q.real_window(1, N),
-                   coeffs.w.real_window(1, N), lam, u0, u1)
+    u = recurrence(coeffs.p.window(0, N), coeffs.q.window(1, N),
+                   coeffs.w.window(1, N), lam, u0, u1)
     return Solution(lam=complex(lam), init_kind=init_kind,
                     init=(complex(a), complex(b)), values=Sequence(0, u))
 
@@ -191,7 +191,7 @@ def wronskian(coeffs: CoefficientSet, phi: Sequence, theta: Sequence,
     """
     phi.require(n, n + 1, "phi")
     theta.require(n, n + 1, "theta")
-    pn = coeffs.p_at(n)
+    pn = coeffs.p.at(n)
     f0, f1 = phi.at(n), phi.at(n + 1)
     t0, t1 = theta.at(n), theta.at(n + 1)
     return WronskianValue(n, complex(pn * _cross(f0, f1, t0, t1)))
@@ -204,7 +204,7 @@ def _wronskian_window(coeffs: CoefficientSet, phi: Sequence, theta: Sequence):
     hi = min(hi, coeffs.p.end - 1)
     if hi < lo:
         raise WindowError("no shared window for the Wronskian")
-    return (lo, coeffs.p.real_window(lo, hi), phi.window(lo, hi + 1),
+    return (lo, coeffs.p.window(lo, hi), phi.window(lo, hi + 1),
             theta.window(lo, hi + 1))
 
 

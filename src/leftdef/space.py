@@ -92,8 +92,8 @@ def _common_window(coeffs: CoefficientSet, u: Sequence, v: Sequence):
 def h1_inner(coeffs: CoefficientSet, u: Sequence, v: Sequence) -> complex:
     """The left-definite scalar product over the stored window."""
     L = _common_window(coeffs, u, v)
-    pv = coeffs.p.real_window(0, L - 2)
-    qv = coeffs.q.real_window(0, L - 1)
+    pv = coeffs.p.window(0, L - 2)
+    qv = coeffs.q.window(0, L - 1)
     du, dv = np.diff(u.values), np.diff(v.values)
     return complex(np.sum(pv * du * np.conj(dv)) +
                    np.sum(qv * u.values * np.conj(v.values)))
@@ -114,21 +114,18 @@ def bound_constants(coeffs: CoefficientSet, N: int) -> BoundConstants:
     """Smallest r >= N with sum_{n=1}^{r} q(n) > 0, and its C_r, C_N.
 
     C_r = (sum_{l=1}^{r} 1/p(l))^(1/2), C_N = C_r + (sum_{n=1}^{r} q(n))^(-1/2).
+    Since q >= 0, r is the larger of N and the first n >= 1 with q(n) > 0.
     """
     if N < 1:
         raise ValidationError("need N >= 1")
     coeffs.q.require(1, N, "q")
-    qv = coeffs.q.values.real
-    r = None
-    for cand in range(N, coeffs.q.end):
-        if np.sum(qv[1:cand + 1]) > 0:
-            r = cand
-            break
-    if r is None:
+    positive = coeffs.q.values[1:] > 0
+    if not np.any(positive):
         raise ValidationError("q identically zero on available window")
+    r = max(N, int(np.argmax(positive)) + 1)
     coeffs.p.require(1, r, "p")
-    qsum = float(np.sum(coeffs.q.real_window(1, r)))
-    C_r = float(np.sqrt(np.sum(1.0 / coeffs.p.real_window(1, r))))
+    qsum = float(np.sum(coeffs.q.window(1, r)))
+    C_r = float(np.sqrt(np.sum(1.0 / coeffs.p.window(1, r))))
     return BoundConstants(r=r, C_r=C_r, C_N=C_r + qsum ** -0.5)
 
 
@@ -140,7 +137,7 @@ def _grad_energy(p: Sequence, u: Sequence) -> float:
         return 0.0
     p.require(lo, hi, "p")
     du = np.diff(u.window(lo, hi + 1))
-    return float(np.sum(p.real_window(lo, hi) * np.abs(du) ** 2))
+    return float(np.sum(p.window(lo, hi) * np.abs(du) ** 2))
 
 
 def check_lemma1(p: Sequence, u: Sequence, n: int, m: int) -> BoundReport:
@@ -152,7 +149,7 @@ def check_lemma1(p: Sequence, u: Sequence, n: int, m: int) -> BoundReport:
     grad = _grad_energy(p, u)
     if m > n:
         p.require(n, m - 1, "p")
-        pfac = float(np.sqrt(np.sum(1.0 / p.real_window(n, m - 1))))
+        pfac = float(np.sqrt(np.sum(1.0 / p.window(n, m - 1))))
     else:
         pfac = 0.0
     rhs = abs(u.at(n)) + np.sqrt(grad) * pfac
@@ -170,12 +167,12 @@ def check_lemma2(coeffs: CoefficientSet, u: Sequence, m: int, r: int) -> BoundRe
     coeffs.q.require(1, r, "q")
     coeffs.p.require(1, r, "p")
     u.require(1, r, "u")
-    qv = coeffs.q.real_window(1, r)
+    qv = coeffs.q.window(1, r)
     qsum = float(np.sum(qv))
     if qsum <= 0:
         raise ValidationError("sum of q over 1..r must be positive")
     uv = u.window(1, r)
-    C_r = float(np.sqrt(np.sum(1.0 / coeffs.p.real_window(1, r))))
+    C_r = float(np.sqrt(np.sum(1.0 / coeffs.p.window(1, r))))
     lhs = abs(u.at(m)) * qsum
     rhs = (np.sqrt(qsum) * np.sqrt(float(np.sum(qv * np.abs(uv) ** 2)))
            + C_r * np.sqrt(_grad_energy(coeffs.p, u)) * qsum)
@@ -208,8 +205,8 @@ def cauchy_diagnostics(coeffs: CoefficientSet, family, threshold: float = 1e-8,
             raise WindowError("family members must share the window")
 
     limit = family[-1]
-    pv = coeffs.p.real_window(0, L - 2)
-    qv = coeffs.q.real_window(0, L - 1)
+    pv = coeffs.p.window(0, L - 2)
+    qv = coeffs.q.window(0, L - 1)
     sqrtp, sqrtq = np.sqrt(pv), np.sqrt(qv)
 
     grad_limit = Sequence(0, sqrtp * np.diff(limit.values))

@@ -82,9 +82,9 @@ def finite_section(coeffs: CoefficientSet, N: int) -> FiniteSection:
     coeffs.p.require(0, N, "p")
     coeffs.q.require(1, N, "q")
     coeffs.w.require(1, N, "w")
-    pv = coeffs.p.real_window(0, N)
-    qv = coeffs.q.real_window(1, N)
-    wv = coeffs.w.real_window(1, N)
+    pv = coeffs.p.window(0, N)
+    qv = coeffs.q.window(1, N)
+    wv = coeffs.w.window(1, N)
     return FiniteSection(
         N=N,
         L_diag=pv[:-1] + pv[1:] + qv,
@@ -96,7 +96,7 @@ def finite_section(coeffs: CoefficientSet, N: int) -> FiniteSection:
 def shooting_function(coeffs: CoefficientSet, lam: float, N: int) -> float:
     """u_lam(N+1) for the solution with u(0) = 0, u(1) = 1; zeros are eigenvalues."""
     sol = solve_recurrence(coeffs, float(lam), InitKind.VALUE_PAIR, 0.0, 1.0, N)
-    return sol.values.at(N + 1).real
+    return float(sol.values.at(N + 1).real)
 
 
 def _sturm_count(fs: FiniteSection, lams) -> np.ndarray:

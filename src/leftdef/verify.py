@@ -51,23 +51,45 @@ def _q_nontrivial_coeffs(rng, length) -> CoefficientSet:
     )
 
 
-def product_rule_campaign(seed: int, cases: int) -> CampaignResult:
-    rng = np.random.default_rng(seed)
-    worst, failures = 0.0, 0
+CAMPAIGNS = {}
+
+
+def _campaign(name: str):
+    """Register a case generator ``gen(rng, cases)`` as the campaign `name`.
+
+    The generator yields (ratio, failed) for each case, or (largest ratio,
+    number failed) for each block of cases; the campaign counts the failed
+    cases and reports the largest ratio, at least 0.  The registered
+    function takes (seed, cases) and replaces the generator under its
+    module-level name.
+    """
+    def register(gen):
+        def campaign(seed: int, cases: int) -> CampaignResult:
+            worst, failures = 0.0, 0
+            for ratio, failed in gen(np.random.default_rng(seed), cases):
+                worst = max(worst, float(ratio))
+                failures += int(failed)
+            return CampaignResult(name, cases, failures, worst)
+        campaign.__name__ = campaign.__qualname__ = gen.__name__
+        campaign.__doc__ = gen.__doc__
+        CAMPAIGNS[name] = campaign
+        return campaign
+    return register
+
+
+@_campaign("product-rule")
+def product_rule_campaign(rng, cases):
     for _ in range(cases):
         n = int(rng.integers(2, 201))
         f = Sequence(0, _random_complex(rng, n))
         g = Sequence(0, _random_complex(rng, n))
         scale = max(1.0, float(np.max(np.abs(f.values)) * np.max(np.abs(g.values))))
         ratio = product_rule_residual(f, g) / (1e-12 * scale)
-        worst = max(worst, ratio)
-        failures += ratio > 1.0
-    return CampaignResult("product-rule", cases, failures, worst)
+        yield ratio, ratio > 1.0
 
 
-def summation_by_parts_campaign(seed: int, cases: int) -> CampaignResult:
-    rng = np.random.default_rng(seed)
-    worst, failures = 0.0, 0
+@_campaign("summation-by-parts")
+def summation_by_parts_campaign(rng, cases):
     for _ in range(cases):
         n = int(rng.integers(3, 201))
         f = Sequence(0, _random_complex(rng, n))
@@ -76,26 +98,21 @@ def summation_by_parts_campaign(seed: int, cases: int) -> CampaignResult:
         N = int(rng.integers(j, n - 1))
         scale = max(1.0, float(np.max(np.abs(f.values)) * np.max(np.abs(g.values))))
         ratio = summation_by_parts_residual(f, g, j, N) / (1e-12 * scale)
-        worst = max(worst, ratio)
-        failures += ratio > 1.0
-    return CampaignResult("summation-by-parts", cases, failures, worst)
+        yield ratio, ratio > 1.0
 
 
-def greens_identity_campaign(seed: int, cases: int) -> CampaignResult:
-    rng = np.random.default_rng(seed)
-    worst, failures = 0.0, 0
+@_campaign("greens-identity")
+def greens_identity_campaign(rng, cases):
     for _ in range(cases):
         N = int(rng.integers(1, 199))
         p = Sequence(0, rng.uniform(0.1, 10.0, N + 1))
         u = Sequence(0, _random_complex(rng, N + 2))
         v = Sequence(0, _random_complex(rng, N + 2))
-        scale = max(1.0, float(np.max(p.values.real)
+        scale = max(1.0, float(np.max(p.values)
                                * np.max(np.abs(u.values))
                                * np.max(np.abs(v.values))))
         ratio = greens_identity_residual(p, u, v, N) / (1e-12 * scale)
-        worst = max(worst, ratio)
-        failures += ratio > 1.0
-    return CampaignResult("greens-identity", cases, failures, worst)
+        yield ratio, ratio > 1.0
 
 
 # Cases per array pass of the two recurrence campaigns.  A block of 32 keeps
@@ -105,16 +122,16 @@ def greens_identity_campaign(seed: int, cases: int) -> CampaignResult:
 BLOCK = 32
 
 
-def _tame_blocks(seed: int, cases: int, N: int):
+def _tame_blocks(rng, cases: int):
     """Solved blocks of random instances with moderate recurrence growth.
 
     Each case draws, in this order, p, q on 0..N and w on 1..N+1, a real
     lambda and four complex initial values: (u(0), u(1)) of phi and of
-    theta.  Yields ((pv, qv, wv, lam), u) for B cases: p(0..N), q(1..N) and
-    w(1..N) of shape (len, 1, B), lam of shape (B,), and the solutions u of
-    shape (N+2, 2, B) with phi and theta on axis 1.
+    theta, with N = 200.  Yields ((pv, qv, wv, lam), u) for B cases:
+    p(0..N), q(1..N) and w(1..N) of shape (len, 1, B), lam of shape (B,),
+    and the solutions u of shape (N+2, 2, B) with phi and theta on axis 1.
     """
-    rng = np.random.default_rng(seed)
+    N = 200
     for start in range(0, cases, BLOCK):
         B = min(BLOCK, cases - start)
         p, q, w = np.empty((N + 1, B)), np.empty((N + 1, B)), np.empty((N + 1, B))
@@ -131,23 +148,19 @@ def _tame_blocks(seed: int, cases: int, N: int):
         yield args, recurrence(*args, init[:, 0::2].T, init[:, 1::2].T)
 
 
-def wronskian_campaign(seed: int, cases: int, N: int = 200) -> CampaignResult:
-    worst, failures = 0.0, 0
-    for (pv, _, _, _), u in _tame_blocks(seed, cases, N):
+@_campaign("wronskian-constancy")
+def wronskian_campaign(rng, cases):
+    for (pv, _, _, _), u in _tame_blocks(rng, cases):
         drift, bound = _wronskian_drift(pv, u[:, :1], u[:, 1:])
-        worst = max(worst, float(np.max(drift / bound)))
-        failures += int(np.sum(drift > bound))
-    return CampaignResult("wronskian-constancy", cases, failures, worst)
+        yield np.max(drift / bound), np.sum(drift > bound)
 
 
-def solver_consistency_campaign(seed: int, cases: int, N: int = 200) -> CampaignResult:
+@_campaign("solver-consistency")
+def solver_consistency_campaign(rng, cases):
     """Residual of apply_L(u) = lam w u for the same draws as the Wronskian run."""
-    worst, failures = 0.0, 0
-    for args, u in _tame_blocks(seed, cases, N):
+    for args, u in _tame_blocks(rng, cases):
         ratio = _residual_ratio(*args, u)
-        worst = max(worst, float(np.max(ratio)))
-        failures += int(np.sum(ratio > 1.0))
-    return CampaignResult("solver-consistency", cases, failures, worst)
+        yield np.max(ratio), np.sum(ratio > 1.0)
 
 
 def _residual_ratio(pv, qv, wv, lam, uv):
@@ -165,8 +178,8 @@ def _residual_ratio(pv, qv, wv, lam, uv):
 def solution_residual_ratio(coeffs: CoefficientSet, sol) -> float:
     """max_n |(Lu)(n) - lam w(n) u(n)| / (1e-10 * per-index term magnitude)."""
     N = sol.values.end - 2
-    return float(_residual_ratio(coeffs.p.real_window(0, N), coeffs.q.real_window(1, N),
-                                 coeffs.w.real_window(1, N), sol.lam,
+    return float(_residual_ratio(coeffs.p.window(0, N), coeffs.q.window(1, N),
+                                 coeffs.w.window(1, N), sol.lam,
                                  sol.values.window(0, N + 1)))
 
 
@@ -178,9 +191,8 @@ def _supported_u(rng, length):
     return Sequence(0, u)
 
 
-def lemma1_campaign(seed: int, cases: int) -> CampaignResult:
-    rng = np.random.default_rng(seed)
-    worst, failures = 0.0, 0
+@_campaign("lemma1")
+def lemma1_campaign(rng, cases):
     for _ in range(cases):
         length = int(rng.integers(8, 60))
         p = Sequence(0, rng.uniform(0.1, 10.0, length))
@@ -188,14 +200,11 @@ def lemma1_campaign(seed: int, cases: int) -> CampaignResult:
         n = int(rng.integers(1, length - 1))
         m = int(rng.integers(n, length - 1))
         rep = check_lemma1(p, u, n, m)
-        worst = max(worst, (rep.lhs - rep.rhs) / rep.tolerance_used)
-        failures += not rep.holds
-    return CampaignResult("lemma1", cases, failures, worst)
+        yield (rep.lhs - rep.rhs) / rep.tolerance_used, not rep.holds
 
 
-def lemma2_campaign(seed: int, cases: int) -> CampaignResult:
-    rng = np.random.default_rng(seed)
-    worst, failures = 0.0, 0
+@_campaign("lemma2")
+def lemma2_campaign(rng, cases):
     for _ in range(cases):
         length = int(rng.integers(8, 60))
         coeffs = _q_nontrivial_coeffs(rng, length)
@@ -203,14 +212,11 @@ def lemma2_campaign(seed: int, cases: int) -> CampaignResult:
         r = length - 1
         m = int(rng.integers(1, r + 1))
         rep = check_lemma2(coeffs, u, m, r)
-        worst = max(worst, (rep.lhs - rep.rhs) / rep.tolerance_used)
-        failures += not rep.holds
-    return CampaignResult("lemma2", cases, failures, worst)
+        yield (rep.lhs - rep.rhs) / rep.tolerance_used, not rep.holds
 
 
-def pointwise_bound_campaign(seed: int, cases: int) -> CampaignResult:
-    rng = np.random.default_rng(seed)
-    worst, failures = 0.0, 0
+@_campaign("pointwise-bound")
+def pointwise_bound_campaign(rng, cases):
     for _ in range(cases):
         length = int(rng.integers(8, 60))
         coeffs = _q_nontrivial_coeffs(rng, length)
@@ -218,21 +224,7 @@ def pointwise_bound_campaign(seed: int, cases: int) -> CampaignResult:
         N = int(rng.integers(1, length - 1))
         m = int(rng.integers(1, N + 1))
         rep = check_pointwise_bound(coeffs, u, m, N)
-        worst = max(worst, (rep.lhs - rep.rhs) / rep.tolerance_used)
-        failures += not rep.holds
-    return CampaignResult("pointwise-bound", cases, failures, worst)
-
-
-CAMPAIGNS = {
-    "product-rule": product_rule_campaign,
-    "summation-by-parts": summation_by_parts_campaign,
-    "greens-identity": greens_identity_campaign,
-    "wronskian-constancy": wronskian_campaign,
-    "solver-consistency": solver_consistency_campaign,
-    "lemma1": lemma1_campaign,
-    "lemma2": lemma2_campaign,
-    "pointwise-bound": pointwise_bound_campaign,
-}
+        yield (rep.lhs - rep.rhs) / rep.tolerance_used, not rep.holds
 
 
 def run_campaign(name: str, seed: int, cases: int) -> CampaignResult:

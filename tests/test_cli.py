@@ -218,3 +218,51 @@ def test_spectrum_one_sided_window_beyond_range(capsys):
     status, out, err = run_cli(capsys, *common, "--lambda-min", "5", "--lambda-max", "1")
     assert status == 1
     assert "lambda_min < lambda_max" in err
+
+
+@pytest.mark.parametrize("window, ks", [
+    (("--lambda-min", "2"), [3, 4]),
+    (("--lambda-max", "1.5"), [1, 2]),
+    (("--lambda-min", "0.5", "--lambda-max", "3"), [2, 3]),
+])
+def test_spectrum_window_applies_to_both_methods_csv(capsys, window, ks):
+    status, out, _ = run_cli(capsys, "spectrum", "--preset", "constant:p=1,q=0,w=1",
+                             "--n", "4", *window)
+    assert status == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "k,shooting,pencil"
+    assert len(lines) == 1 + len(ks)
+    for row, k in enumerate(ks, start=1):
+        idx, a, b = lines[row].split(",")
+        exact = 4 * np.sin(k * np.pi / 10) ** 2
+        assert int(idx) == row
+        assert float(a) == pytest.approx(exact, abs=1e-8)
+        assert float(b) == pytest.approx(exact, abs=1e-8)
+
+
+def test_spectrum_window_applies_to_both_methods_json(capsys):
+    status, out, _ = run_cli(capsys, "spectrum", "--preset", "constant:p=1,q=0,w=1",
+                             "--n", "4", "--lambda-min", "2", "--format", "json")
+    assert status == 0
+    shooting, pencil = json.loads(out)
+    exact = [4 * np.sin(k * np.pi / 10) ** 2 for k in (3, 4)]
+    np.testing.assert_allclose(shooting["eigenvalues"], exact, atol=1e-8)
+    np.testing.assert_allclose(pencil["eigenvalues"], exact, atol=1e-8)
+    assert len(pencil["residuals"]) == 2
+    assert all(r < 1e-12 for r in pencil["residuals"])
+    status, out, _ = run_cli(capsys, "spectrum", "--preset", "constant:p=1,q=0,w=1",
+                             "--n", "4", "--lambda-max", "-1", "--method", "pencil",
+                             "--format", "json")
+    assert status == 0
+    assert json.loads(out) == [{"method": "pencil", "eigenvalues": [], "residuals": [],
+                                "no_finite_count": 0}]
+
+
+def test_verify_negative_cases_is_config_error(capsys):
+    status, out, err = run_cli(capsys, "verify", "--cases", "-1")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("config-error:") and "--cases" in err
+    status, out, _ = run_cli(capsys, "verify", "--suite", "lemma1", "--cases", "0")
+    assert status == 0
+    assert "lemma1,0,0," in out

@@ -11,6 +11,7 @@ from leftdef import (
     make_preset,
     serialize_coefficients,
 )
+from leftdef.coeffs import PRESETS
 
 
 def test_sequence_rejects_nonfinite():
@@ -36,7 +37,7 @@ def test_load_explicit_triple():
     c = load_coefficients('{"p": [1, 1, 1], "q": [0, 1, 0], "w": [1, -1]}')
     assert c.q_nontrivial
     assert c.p.offset == 0 and c.q.offset == 0 and c.w.offset == 1
-    assert c.w_at(2) == -1
+    assert c.w.at(2) == -1
 
 
 def test_load_rejects_nonpositive_p_with_index():
@@ -148,3 +149,66 @@ def test_block_validation_names_first_index_across_columns():
     w[5, 1] = np.inf
     with pytest.raises(ValidationError, match=r"^w\(6\) is not finite$"):
         _check_coefficients(np.ones((6, 3)), q, w)
+
+
+def test_preset_and_loaded_coefficients_are_float64():
+    docs = [make_preset(name, length=12, rng_seed=3) for name in PRESETS]
+    docs.append(load_coefficients('{"p": [1, 2, 3], "q": [0, 1, 0], "w": [1, -1]}'))
+    for c in docs:
+        for seq in (c.p, c.q, c.w):
+            assert seq.values.dtype == np.float64
+            assert isinstance(seq.at(seq.offset), np.float64)
+
+
+def test_sequence_keeps_real_or_complex_dtype():
+    assert Sequence(0, [1, 2]).values.dtype == np.float64
+    u = Sequence(0, [1.0, 2 + 1j])
+    assert u.values.dtype == np.complex128
+    assert u.at(1) == 2 + 1j
+    with pytest.raises(ValidationError, match="finite"):
+        Sequence(0, [1.0, complex(0.0, np.inf)])
+
+
+def test_real_and_complex_sequences_compare_and_hash_alike():
+    real, cplx = Sequence(0, [1.0]), Sequence(0, [1 + 0j])
+    assert real == cplx
+    assert hash(real) == hash(cplx)
+    assert Sequence(0, [1.0, 2.0]) != Sequence(0, [1.0, 2 + 1e-300j])
+    assert Sequence(0, [1.0]) != Sequence(1, [1 + 0j])
+
+
+@pytest.mark.parametrize("name", ["p", "q", "w"])
+def test_coefficient_set_rejects_imaginary_part(name):
+    seqs = {"p": Sequence(0, [1.0, 2.0]), "q": Sequence(0, [0.0, 1.0]),
+            "w": Sequence(1, [1.0, -1.0])}
+    bad = seqs[name]
+    seqs[name] = Sequence(bad.offset, bad.values + 1e-300j)
+    with pytest.raises(ValidationError, match=rf"^{name} must be real-valued$"):
+        CoefficientSet(**seqs)
+
+
+def test_coefficient_set_stores_zero_imaginary_complex_as_float64():
+    c = CoefficientSet(p=Sequence(0, [1 + 0j, 2 + 0j]), q=Sequence(0, [0j, 1 + 0j]),
+                       w=Sequence(1, [1 + 0j, -1 + 0j]))
+    assert [s.values.dtype for s in (c.p, c.q, c.w)] == [np.float64] * 3
+    np.testing.assert_array_equal(c.w.values, [1.0, -1.0])
+    assert c.q_nontrivial
+
+
+def test_complex_solution_stays_complex128():
+    from leftdef import InitKind, apply_L, solve_recurrence
+
+    c = make_preset("random", length=20, rng_seed=1)
+    sol = solve_recurrence(c, 0.5, InitKind.VALUE_PAIR, 0.0, 1.0, 10)
+    assert sol.values.values.dtype == np.complex128
+    assert apply_L(c, sol.values).values.dtype == np.complex128
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_serialize_round_trip_bit_exact_every_preset(name):
+    c = make_preset(name, length=33, rng_seed=5)
+    text = serialize_coefficients(c)
+    c2 = load_coefficients(text)
+    for a, b in ((c.p, c2.p), (c.q, c2.q), (c.w, c2.w)):
+        assert a.values.tobytes() == b.values.tobytes()
+    assert serialize_coefficients(c2) == text

@@ -122,7 +122,7 @@ class TestRecurrence:
     @pytest.mark.parametrize("lam", [1.5, 1.5 + 0j, -0.75 + 0.3j])
     def test_matches_complex_scalar_loop(self, lam):
         c = make_preset("random", length=300, rng_seed=9)
-        args = (c.p.real_window(0, 250), c.q.real_window(1, 250), c.w.real_window(1, 250))
+        args = (c.p.window(0, 250), c.q.window(1, 250), c.w.window(1, 250))
         u = recurrence(*args, lam, 0.25 - 1j, 1.0 + 0.5j)
         np.testing.assert_array_equal(u, scalar_loop(*args, lam, 0.25 - 1j, 1.0 + 0.5j))
 
@@ -152,8 +152,8 @@ class TestRecurrence:
         c = make_preset("random", length=30, rng_seed=2)
         N = 28
         lams = np.array([0.5, -1.0 + 0.25j, 3.0])
-        u = recurrence(c.p.real_window(0, N), c.q.real_window(1, N),
-                       c.w.real_window(1, N), lams, 0.0, 1.0)
+        u = recurrence(c.p.window(0, N), c.q.window(1, N),
+                       c.w.window(1, N), lams, 0.0, 1.0)
         for k, lam in enumerate(lams):
             ref = solve_recurrence(c, lam, InitKind.VALUE_PAIR, 0.0, 1.0, N).values.values
             assert u[:, k].tobytes() == ref.tobytes()

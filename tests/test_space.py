@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leftdef import (
@@ -138,6 +138,35 @@ class TestBoundConstants:
         bc = bound_constants(c, 2)
         assert bc.r == 5
 
+    @staticmethod
+    def _scan_r(q, N):
+        """The first r >= N with sum_{n=1}^{r} q(n) > 0, by summing afresh for each r."""
+        for cand in range(N, len(q)):
+            if np.sum(q[1:cand + 1]) > 0:
+                return cand
+        return None
+
+    @settings(max_examples=150, deadline=None)
+    @example(q=[0.0] * 9 + [2.0], N=1)
+    @example(q=[0.0] * 9 + [5e-324], N=9)
+    @example(q=[3.0] + [0.0] * 7, N=2)
+    @given(q=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=2,
+                      max_size=30),
+           N=st.integers(1, 29))
+    def test_r_matches_cumulative_scan(self, q, N):
+        q = np.array(q)
+        N = min(N, len(q) - 1)
+        c = CoefficientSet(p=Sequence(0, np.ones(len(q))), q=Sequence(0, q),
+                           w=Sequence(1, np.ones(len(q))))
+        want = self._scan_r(q, N)
+        if want is None:
+            with pytest.raises(ValidationError, match="identically zero"):
+                bound_constants(c, N)
+        else:
+            bc = bound_constants(c, N)
+            assert bc.r == want
+            assert bc.C_N == bc.C_r + float(np.sum(q[1:want + 1])) ** -0.5
+
 
 class TestLemmaChecks:
     def test_lemma1_m_equals_n(self):
@@ -191,7 +220,7 @@ class TestLemmaChecks:
             r = length - 1
             m = int(rng.integers(1, r + 1))
             lem2 = check_lemma2(c, u, m, r)
-            qsum = float(np.sum(c.q.real_window(1, r)))
+            qsum = float(np.sum(c.q.window(1, r)))
             pw = check_pointwise_bound(c, u, m, r)
             assert pw.rhs >= lem2.rhs / qsum - 1e-12 * max(1.0, pw.rhs)
 
