@@ -57,6 +57,7 @@ def _coeffs_from_args(args):
             name, params = parse_preset(args.preset)
         except ValueError as exc:
             raise SystemExit2(str(exc)) from exc
+        _check_seed(args)
         if name not in PRESETS:
             raise SystemExit2(
                 f"unknown preset {name!r}, choose from {', '.join(PRESETS)}")
@@ -70,6 +71,11 @@ def _parse_values(text: str) -> Sequence:
 
 class SystemExit2(Exception):
     """Configuration error: exit status 2."""
+
+
+def _check_seed(args):
+    if args.seed < 0:
+        raise SystemExit2(f"--seed must be >= 0, got {args.seed}")
 
 
 def _emit(lines, args):
@@ -179,16 +185,21 @@ def cmd_bounds(args):
 def cmd_verify(args):
     if args.cases < 0:
         raise SystemExit2(f"--cases must be >= 0, got {args.cases}")
+    _check_seed(args)
     if args.suite == "all":
         results = run_all(args.seed, args.cases)
     else:
         results = [run_campaign(args.suite, args.seed, args.cases)]
-    lines = ["suite,cases,failures,worst"]
-    for r in results:
-        lines.append(f"{r.name},{r.cases},{r.failures},{_num(r.worst)}")
     total_failures = sum(r.failures for r in results)
-    lines.append(f"total,{sum(r.cases for r in results)},{total_failures},")
-    _emit(lines, args)
+    if args.format == "json":
+        _emit([json.dumps([{"suite": r.name, "cases": r.cases, "failures": r.failures,
+                            "worst": r.worst} for r in results])], args)
+    else:
+        lines = ["suite,cases,failures,worst"]
+        for r in results:
+            lines.append(f"{r.name},{r.cases},{r.failures},{_num(r.worst)}")
+        lines.append(f"total,{sum(r.cases for r in results)},{total_failures},")
+        _emit(lines, args)
     return 0 if total_failures == 0 else 1
 
 

@@ -105,6 +105,16 @@ def _check_coefficients(p: np.ndarray, q: np.ndarray, w: np.ndarray):
     _require("q", q >= 0, 0, "negative")
 
 
+def _real(name: str, vals: np.ndarray) -> np.ndarray:
+    """vals as real numbers: the real part of complex input whose imaginary
+    part is zero, else ValidationError."""
+    if not np.iscomplexobj(vals):
+        return vals
+    if np.any(vals.imag != 0.0):
+        raise ValidationError(f"{name} must be real-valued")
+    return vals.real
+
+
 def _real_sequence(name: str, arr, offset: int) -> Sequence:
     vals = np.asarray(arr, dtype=float)
     if vals.ndim != 1 or vals.size < 1:
@@ -134,9 +144,8 @@ class CoefficientSet:
         for name in ("p", "q", "w"):
             seq = getattr(self, name)
             if np.iscomplexobj(seq.values):
-                if np.any(seq.values.imag != 0.0):
-                    raise ValidationError(f"{name} must be real-valued")
-                object.__setattr__(self, name, Sequence(seq.offset, seq.values.real))
+                object.__setattr__(self, name,
+                                   Sequence(seq.offset, _real(name, seq.values)))
         _check_coefficients(self.p.values, self.q.values, self.w.values)
         object.__setattr__(self, "q_nontrivial", bool(np.any(self.q.values > 0)))
 
@@ -189,6 +198,8 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
             if r.shape != (2,):
                 raise ValidationError(f"random {key} must be a (lo, hi) pair")
             return r
+        if rng_seed < 0:
+            raise ValidationError(f"random preset seed must be >= 0, got {rng_seed}")
         rng = np.random.default_rng(rng_seed)
         plo, phi = bounds("p_range")
         qlo, qhi = bounds("q_range")

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSet, Sequence
+from .calculus import _at, _sum_over
+from .coeffs import CoefficientSet, Sequence, _real, _require
 from .errors import NonCauchyError, ValidationError, WindowError
 
 __all__ = [
@@ -48,10 +49,15 @@ class BoundReport:
     tolerance_used: float
 
 
+def _slack(lhs, rhs):
+    """The default slack 1e-12 * max(1, |lhs|, |rhs|), elementwise."""
+    return INEQ_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
 def inequality_report(lhs: float, rhs: float, tolerance: float | None = None) -> BoundReport:
     """Package lhs <= rhs with slack tolerance (default 1e-12 * max(1, lhs, rhs))."""
     if tolerance is None:
-        tolerance = INEQ_TOL * max(1.0, abs(lhs), abs(rhs))
+        tolerance = float(_slack(lhs, rhs))
     return BoundReport(lhs=lhs, rhs=rhs, margin=rhs - lhs,
                        holds=lhs <= rhs + tolerance, tolerance_used=tolerance)
 
@@ -89,14 +95,27 @@ def _common_window(coeffs: CoefficientSet, u: Sequence, v: Sequence):
     return L
 
 
+def _on(seq: Sequence, length: int, fill) -> np.ndarray:
+    """The entries of seq on indices 0..length-1, with `fill` where it stores none."""
+    out = np.full(length, fill, dtype=seq.values.dtype)
+    lo, hi = min(seq.offset, length), min(seq.end, length)
+    out[lo:hi] = seq.values[lo - seq.offset:hi - seq.offset]
+    return out
+
+
+def _h1_inner(pv, qv, uv, vv, last):
+    """<u, v> over indices 0..last along axis 0, for p, q, u and v from
+    index 0 (p one entry shorter); last broadcasts against the trailing axes."""
+    du, dv = np.diff(uv, axis=0), np.diff(vv, axis=0)
+    return (_sum_over(pv * du * np.conj(dv), 0, last - 1)
+            + _sum_over(qv * uv * np.conj(vv), 0, last))
+
+
 def h1_inner(coeffs: CoefficientSet, u: Sequence, v: Sequence) -> complex:
     """The left-definite scalar product over the stored window."""
     L = _common_window(coeffs, u, v)
-    pv = coeffs.p.window(0, L - 2)
-    qv = coeffs.q.window(0, L - 1)
-    du, dv = np.diff(u.values), np.diff(v.values)
-    return complex(np.sum(pv * du * np.conj(dv)) +
-                   np.sum(qv * u.values * np.conj(v.values)))
+    return complex(_h1_inner(coeffs.p.window(0, L - 2), coeffs.q.window(0, L - 1),
+                             u.values, v.values, L - 1))
 
 
 def h1_norm(coeffs: CoefficientSet, u: Sequence) -> float:
@@ -110,6 +129,20 @@ def l2_norm(u: Sequence) -> float:
     return float(np.linalg.norm(u.values))
 
 
+def _bound_constants(pv, qv, N):
+    """r, C_r and C_N of `bound_constants` along axis 0, for p and q from
+    index 0; N broadcasts against the trailing axes."""
+    positive = qv[1:] > 0
+    if not positive.any(axis=0).all():
+        raise ValidationError("q identically zero on available window")
+    r = np.maximum(N, positive.argmax(axis=0) + 1)
+    top = int(r.max())
+    if top >= len(pv):
+        raise WindowError(f"p window [0, {len(pv)}) does not cover 1..{top}")
+    C_r = np.sqrt(_sum_over(1.0 / pv[:top + 1], 1, r))
+    return r, C_r, C_r + _sum_over(qv, 1, r) ** -0.5
+
+
 def bound_constants(coeffs: CoefficientSet, N: int) -> BoundConstants:
     """Smallest r >= N with sum_{n=1}^{r} q(n) > 0, and its C_r, C_N.
 
@@ -119,41 +152,61 @@ def bound_constants(coeffs: CoefficientSet, N: int) -> BoundConstants:
     if N < 1:
         raise ValidationError("need N >= 1")
     coeffs.q.require(1, N, "q")
-    positive = coeffs.q.values[1:] > 0
-    if not np.any(positive):
-        raise ValidationError("q identically zero on available window")
-    r = max(N, int(np.argmax(positive)) + 1)
-    coeffs.p.require(1, r, "p")
-    qsum = float(np.sum(coeffs.q.window(1, r)))
-    C_r = float(np.sqrt(np.sum(1.0 / coeffs.p.window(1, r))))
-    return BoundConstants(r=r, C_r=C_r, C_N=C_r + qsum ** -0.5)
+    r, C_r, C_N = _bound_constants(coeffs.p.values, coeffs.q.values, N)
+    return BoundConstants(r=int(r), C_r=float(C_r), C_N=float(C_N))
 
 
-def _grad_energy(p: Sequence, u: Sequence) -> float:
-    """sum_{l>=1} p(l) |Du(l)|^2 over the stored window (the 'infinite' sum)."""
-    lo = max(1, u.offset)
-    hi = u.end - 2
-    if hi < lo:
-        return 0.0
-    p.require(lo, hi, "p")
-    du = np.diff(u.window(lo, hi + 1))
-    return float(np.sum(p.window(lo, hi) * np.abs(du) ** 2))
+def _grad_energy(pv, uv, lo, hi):
+    """sum_{l=lo}^{hi} p(l) |Du(l)|^2 along axis 0, for p and u from index 0."""
+    return _sum_over(pv[:-1] * np.abs(np.diff(uv, axis=0)) ** 2, lo, hi)
+
+
+def _lemma1(pv, uv, n, m, lo, hi):
+    """(lhs, rhs) of Lemma 1 along axis 0, for p and u on indices 0..L-1:
+
+        |u(m)| <= |u(n)| + (sum_{l=lo}^{hi} p|Du|^2)^(1/2) (sum_{l=n}^{m-1} 1/p(l))^(1/2).
+
+    p must be real, finite and positive (else ValidationError); n, m, lo
+    and hi broadcast against the trailing axes.
+    """
+    pv = _real("p", pv)
+    _require("p", np.isfinite(pv), 0, "is not finite")
+    _require("p", pv > 0, 0, "not strictly positive")
+    pfac = np.sqrt(_sum_over(1.0 / pv, n, m - 1))
+    return abs(_at(uv, m)), abs(_at(uv, n)) + np.sqrt(_grad_energy(pv, uv, lo, hi)) * pfac
 
 
 def check_lemma1(p: Sequence, u: Sequence, n: int, m: int) -> BoundReport:
-    """|u(m)| <= |u(n)| + (sum_l p|Du|^2)^(1/2) (sum_{l=n}^{m-1} 1/p(l))^(1/2)."""
+    """|u(m)| <= |u(n)| + (sum_l p|Du|^2)^(1/2) (sum_{l=n}^{m-1} 1/p(l))^(1/2).
+
+    The energy sum runs over the stored window of u, l = max(1, offset) to
+    end - 2.  Raises ValidationError unless every entry of p stored below
+    the end of u is real and positive.
+    """
     if m < n:
         raise ValidationError("need m >= n")
     u.require(n, m, "u")
-    lhs = abs(u.at(m))
-    grad = _grad_energy(p, u)
+    lo, hi = max(1, u.offset), u.end - 2
+    if hi >= lo:
+        p.require(lo, hi, "p")
     if m > n:
         p.require(n, m - 1, "p")
-        pfac = float(np.sqrt(np.sum(1.0 / p.window(n, m - 1))))
-    else:
-        pfac = 0.0
-    rhs = abs(u.at(n)) + np.sqrt(grad) * pfac
-    return inequality_report(lhs, rhs)
+    lhs, rhs = _lemma1(_on(p, u.end, 1.0), _on(u, u.end, 0.0), n, m, lo, hi)
+    return inequality_report(float(lhs), float(rhs))
+
+
+def _lemma2(pv, qv, uv, m, r, hi):
+    """(lhs, rhs) of Lemma 2 along axis 0, for p, q and u on indices 0..L-1,
+    with the sums over n = 1..r and the energy over l = 1..hi; m, r and hi
+    broadcast against the trailing axes."""
+    qsum = _sum_over(qv, 1, r)
+    if np.any(qsum <= 0):
+        raise ValidationError("sum of q over 1..r must be positive")
+    C_r = np.sqrt(_sum_over(1.0 / pv, 1, r))
+    lhs = abs(_at(uv, m)) * qsum
+    rhs = (np.sqrt(qsum) * np.sqrt(_sum_over(qv * np.abs(uv) ** 2, 1, r))
+           + C_r * np.sqrt(_grad_energy(pv, uv, 1, hi)) * qsum)
+    return lhs, rhs
 
 
 def check_lemma2(coeffs: CoefficientSet, u: Sequence, m: int, r: int) -> BoundReport:
@@ -167,16 +220,23 @@ def check_lemma2(coeffs: CoefficientSet, u: Sequence, m: int, r: int) -> BoundRe
     coeffs.q.require(1, r, "q")
     coeffs.p.require(1, r, "p")
     u.require(1, r, "u")
-    qv = coeffs.q.window(1, r)
-    qsum = float(np.sum(qv))
-    if qsum <= 0:
-        raise ValidationError("sum of q over 1..r must be positive")
-    uv = u.window(1, r)
-    C_r = float(np.sqrt(np.sum(1.0 / coeffs.p.window(1, r))))
-    lhs = abs(u.at(m)) * qsum
-    rhs = (np.sqrt(qsum) * np.sqrt(float(np.sum(qv * np.abs(uv) ** 2)))
-           + C_r * np.sqrt(_grad_energy(coeffs.p, u)) * qsum)
-    return inequality_report(lhs, rhs)
+    hi = u.end - 2
+    if hi >= 1:
+        coeffs.p.require(1, hi, "p")
+    L = u.end
+    lhs, rhs = _lemma2(_on(coeffs.p, L, 1.0), _on(coeffs.q, L, 0.0), _on(u, L, 0.0),
+                       m, r, hi)
+    return inequality_report(float(lhs), float(rhs))
+
+
+def _pointwise_bound(pv, qv, uv, m, N, last):
+    """(lhs, rhs) of |u(m)| <= C_N ||u|| along axis 0, for p, q and u from
+    index 0 and the norm over indices 0..last; m, N and last broadcast
+    against the trailing axes."""
+    _, _, C_N = _bound_constants(pv, qv, N)
+    L = len(uv)
+    norm = np.sqrt(np.maximum(_h1_inner(pv[:L - 1], qv[:L], uv, uv, last).real, 0.0))
+    return abs(_at(uv, m)), C_N * norm
 
 
 def check_pointwise_bound(coeffs: CoefficientSet, u: Sequence, m: int,
@@ -184,8 +244,11 @@ def check_pointwise_bound(coeffs: CoefficientSet, u: Sequence, m: int,
     """|u(m)| <= C_N ||u|| for 1 <= m <= N."""
     if not (1 <= m <= N):
         raise ValidationError("need 1 <= m <= N")
-    bc = bound_constants(coeffs, N)
-    return inequality_report(abs(u.at(m)), bc.C_N * h1_norm(coeffs, u))
+    coeffs.q.require(1, N, "q")
+    L = _common_window(coeffs, u, u)
+    u.require(m, m)
+    lhs, rhs = _pointwise_bound(coeffs.p.values, coeffs.q.values, u.values, m, N, L - 1)
+    return inequality_report(float(lhs), float(rhs))
 
 
 def cauchy_diagnostics(coeffs: CoefficientSet, family, threshold: float = 1e-8,

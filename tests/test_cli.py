@@ -266,3 +266,27 @@ def test_verify_negative_cases_is_config_error(capsys):
     status, out, _ = run_cli(capsys, "verify", "--suite", "lemma1", "--cases", "0")
     assert status == 0
     assert "lemma1,0,0," in out
+
+
+def test_verify_json_format(capsys):
+    status, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "3",
+                             "--cases", "2", "--format", "json")
+    assert status == 0
+    rows = json.loads(out)
+    _, csv, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "3", "--cases", "2")
+    want = [line.split(",") for line in csv.strip().splitlines()[1:-1]]
+    assert [(r["suite"], r["cases"], r["failures"]) for r in rows] == \
+        [(name, 2, int(failures)) for name, _, failures, _ in want]
+    assert [r["worst"] for r in rows] == [float(worst) for *_, worst in want]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--seed", "-1"),
+    ("spectrum", "--preset", "random", "--seed", "-1", "--n", "4"),
+])
+def test_negative_seed_is_config_error(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("config-error:") and "--seed" in err
+    assert len(err.strip().splitlines()) == 1

@@ -63,6 +63,11 @@ def test_preset_document():
     np.testing.assert_array_equal(c.p.values.real, np.ones(10))
 
 
+def test_preset_document_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        load_coefficients(json.dumps({"preset": {"name": "random", "seed": -1}}))
+
+
 def test_make_preset_constant():
     c = make_preset("constant", {"p": 2, "q": 1, "w": 1}, length=5)
     np.testing.assert_array_equal(c.p.values.real, [2, 2, 2, 2, 2])

@@ -224,6 +224,15 @@ class TestLemmaChecks:
             pw = check_pointwise_bound(c, u, m, r)
             assert pw.rhs >= lem2.rhs / qsum - 1e-12 * max(1.0, pw.rhs)
 
+    @pytest.mark.parametrize("p, match", [
+        (-np.ones(8), "not strictly positive"),
+        (np.ones(8) + 1j, "real-valued"),
+    ])
+    def test_lemma1_rejects_bad_p(self, p, match):
+        u = Sequence(0, np.arange(8.0) ** 2)
+        with pytest.raises(ValidationError, match=match):
+            check_lemma1(Sequence(0, p), u, 1, 4)
+
     def test_argument_validation(self):
         p = Sequence(0, np.ones(8))
         u = Sequence(0, np.ones(8))
