@@ -65,12 +65,20 @@ def _coeffs_from_args(args):
     raise SystemExit2("one of --coeffs or --preset is required")
 
 
-def _parse_values(text: str) -> Sequence:
-    return Sequence(0, np.array([complex(v) for v in text.split(",")]))
-
-
 class SystemExit2(Exception):
     """Configuration error: exit status 2."""
+
+
+def _number(text: str, option: str) -> complex:
+    """The complex value of `option`; a malformed one is a configuration error."""
+    try:
+        return complex(text)
+    except ValueError:
+        raise SystemExit2(f"{option} is not a number: {text!r}") from None
+
+
+def _parse_values(text: str) -> Sequence:
+    return Sequence(0, np.array([_number(v, "--u") for v in text.split(",")]))
 
 
 def _check_seed(args):
@@ -120,10 +128,11 @@ def _init_from_args(args):
             raise SystemExit2("give either --u0/--u1 or --u1/--pdu0, not both")
         if args.u1 is None:
             raise SystemExit2("--pdu0 needs --u1")
-        return InitKind.VALUE_AND_QUASIDERIVATIVE, complex(args.u1), complex(args.pdu0)
+        return (InitKind.VALUE_AND_QUASIDERIVATIVE, _number(args.u1, "--u1"),
+                _number(args.pdu0, "--pdu0"))
     if args.u0 is None or args.u1 is None:
         raise SystemExit2("need --u0 and --u1 (or --u1 with --pdu0)")
-    return InitKind.VALUE_PAIR, complex(args.u0), complex(args.u1)
+    return InitKind.VALUE_PAIR, _number(args.u0, "--u0"), _number(args.u1, "--u1")
 
 
 def cmd_apply(args):
@@ -134,18 +143,20 @@ def cmd_apply(args):
 
 def cmd_solve(args):
     coeffs = _coeffs_from_args(args)
+    lam = _number(args.lam, "--lambda")
     kind, a, b = _init_from_args(args)
-    sol = solve_recurrence(coeffs, complex(args.lam), kind, a, b, args.n)
+    sol = solve_recurrence(coeffs, lam, kind, a, b, args.n)
     _emit_sequence(sol.values, args)
 
 
 def cmd_wronskian(args):
     coeffs = _coeffs_from_args(args)
+    lam = _number(args.lam, "--lambda")
+    phi0, phi1, theta0, theta1 = (_number(getattr(args, dest), f"--{dest}")
+                                  for dest in ("phi0", "phi1", "theta0", "theta1"))
     kind = InitKind.VALUE_PAIR
-    phi = solve_recurrence(coeffs, complex(args.lam), kind,
-                           complex(args.phi0), complex(args.phi1), args.n)
-    theta = solve_recurrence(coeffs, complex(args.lam), kind,
-                             complex(args.theta0), complex(args.theta1), args.n)
+    phi = solve_recurrence(coeffs, lam, kind, phi0, phi1, args.n)
+    theta = solve_recurrence(coeffs, lam, kind, theta0, theta1, args.n)
     w = wronskian_sequence(coeffs, phi.values, theta.values)
     rep = wronskian_constancy_report(coeffs, phi, theta)
     if args.format == "json":

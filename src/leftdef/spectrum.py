@@ -165,6 +165,8 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
     window holds no eigenvalue and the result is empty.  ``brackets`` holds
     the final [lo, hi] of each eigenvalue.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError("need finite tol > 0")
     one_sided = (lambda_min is None) != (lambda_max is None)
     if lambda_min is None or lambda_max is None:
         lo_range, hi_range = shooting_range(coeffs, N)
@@ -173,8 +175,6 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
     if not (np.isfinite(lambda_min) and np.isfinite(lambda_max)
             and (one_sided or lambda_min < lambda_max)):
         raise ValidationError("need finite lambda_min < lambda_max")
-    if tol <= 0:
-        raise ValidationError("need tol > 0")
     if lambda_min >= lambda_max:  # one given end, beyond every eigenvalue
         return SpectralResult(eigenvalues=[], method="shooting")
 

@@ -6,6 +6,9 @@ failures together with the worst normalized residual or smallest margin.
 All eight campaigns draw their cases one by one, in a fixed order, and check
 them in blocks of `BLOCK` cases per array pass: cases of different lengths
 are zero-padded along axis 0 and each column is checked over its own length.
+The Wronskian and solver-consistency campaigns read the same solved blocks
+of recurrence cases; run alone, each draws and solves them for its own
+check, and `run_all` draws and solves each block once for both.
 The CLI `verify` subcommand and the acceptance tests both run these.
 """
 
@@ -36,36 +39,57 @@ class CampaignResult:
 
 
 CAMPAIGNS = {}
+_SHARED = {}   # block source -> {name: check} of the campaigns that read it
 
 
-def _campaign(name: str):
-    """Register a block generator ``gen(rng, cases)`` as the campaign `name`.
+def _tally(checks: dict, blocks, cases: int) -> dict:
+    """The CampaignResult of each campaign of `checks`, a {name: check}
+    mapping whose checks map every one of `blocks` to (largest ratio, number
+    failed).  A campaign counts the failed cases and reports the largest
+    ratio, at least 0."""
+    worst, failures = dict.fromkeys(checks, 0.0), dict.fromkeys(checks, 0)
+    for block in blocks:
+        for name, check in checks.items():
+            ratio, failed = check(block)
+            worst[name] = max(worst[name], float(ratio))
+            failures[name] += int(failed)
+    return {name: CampaignResult(name, cases, failures[name], worst[name])
+            for name in checks}
 
-    The generator yields (largest ratio, number failed) for each block of
-    cases; the campaign counts the failed cases and reports the largest
-    ratio, at least 0.  The registered function takes (seed, cases) and
-    replaces the generator under its module-level name; the generator stays
-    reachable as its `blocks` attribute.
+
+def _campaign(name: str, source=None):
+    """Register the campaign `name`.
+
+    Without a `source`, the decorated function is a block generator
+    ``gen(rng, cases)`` that yields (largest ratio, number failed) for each
+    block of cases.  With one, it is a check that maps each block the
+    generator ``source(rng, cases)`` yields to that pair, and the campaigns
+    of one source share it: `run_all` draws each of its blocks once and
+    applies all of their checks to it.  The registered function takes
+    (seed, cases), computes its own check only, and replaces the decorated
+    function under its module-level name; its pairs stay reachable, block
+    by block, as its ``blocks(rng, cases)``.
     """
-    def register(gen):
+    def register(fn):
+        gen, check = (source, fn) if source else (fn, lambda pair: pair)
+
         def campaign(seed: int, cases: int) -> CampaignResult:
-            worst, failures = 0.0, 0
-            for ratio, failed in gen(np.random.default_rng(seed), cases):
-                worst = max(worst, float(ratio))
-                failures += int(failed)
-            return CampaignResult(name, cases, failures, worst)
-        campaign.__name__ = campaign.__qualname__ = gen.__name__
-        campaign.__doc__ = gen.__doc__
-        campaign.blocks = gen
+            return _tally({name: check}, gen(np.random.default_rng(seed), cases), cases)[name]
+        campaign.__name__ = campaign.__qualname__ = fn.__name__
+        campaign.__doc__ = fn.__doc__
+        campaign.blocks = lambda rng, cases: map(check, gen(rng, cases))
+        if source:
+            _SHARED.setdefault(source, {})[name] = check
         CAMPAIGNS[name] = campaign
         return campaign
     return register
 
 
-# Cases per array pass.  A block of 32 keeps the working set of the two
-# recurrence campaigns (two complex solutions of length N + 2 = 202 per case
-# and the temporaries of the checks) near 1.5 MB; blocks of 50 run about 20%
-# faster there but grow peak RSS by about 2.5 MB over solving case by case.
+# Cases per array pass.  A block of 32 keeps the working set of a solved
+# recurrence block (phi and theta, complex of length N + 2 = 202 per case,
+# and the temporaries of one check at a time) near 1.5 MB; blocks of 50 run
+# about 20% faster there but grow peak RSS by about 2.5 MB over solving case
+# by case.
 BLOCK = 32
 
 
@@ -166,7 +190,8 @@ def greens_identity_campaign(rng, cases):
 
 
 def _tame_blocks(rng, cases: int):
-    """Solved blocks of random instances with moderate recurrence growth.
+    """Solved blocks of random instances with moderate recurrence growth,
+    the block source of the Wronskian and solver-consistency campaigns.
 
     Each case draws, in this order, p, q on 0..N and w on 1..N+1, a real
     lambda and four complex initial values: (u(0), u(1)) of phi and of
@@ -190,19 +215,21 @@ def _tame_blocks(rng, cases: int):
         yield args, recurrence(*args, init[:, 0::2].T, init[:, 1::2].T)
 
 
-@_campaign("wronskian-constancy")
-def wronskian_campaign(rng, cases):
-    for (pv, _, _, _), u in _tame_blocks(rng, cases):
-        drift, bound = _wronskian_drift(pv, u[:, :1], u[:, 1:])
-        yield np.max(drift / bound), np.sum(drift > bound)
+@_campaign("wronskian-constancy", _tame_blocks)
+def wronskian_campaign(block):
+    """Drift of the Wronskian of phi and theta over each case's window."""
+    (pv, _, _, _), u = block
+    drift, bound = _wronskian_drift(pv, u[:, :1], u[:, 1:])
+    return np.max(drift / bound), np.sum(drift > bound)
 
 
-@_campaign("solver-consistency")
-def solver_consistency_campaign(rng, cases):
-    """Residual of apply_L(u) = lam w u for the same draws as the Wronskian run."""
-    for args, u in _tame_blocks(rng, cases):
-        ratio = _residual_ratio(*args, u)
-        yield np.max(ratio), np.sum(ratio > 1.0)
+@_campaign("solver-consistency", _tame_blocks)
+def solver_consistency_campaign(block):
+    """Residual of apply_L(u) = lam w u for phi and theta of each case, on
+    the solved blocks that the Wronskian check reads too."""
+    args, u = block
+    ratio = _residual_ratio(*args, u)
+    return np.max(ratio), np.sum(ratio > 1.0)
 
 
 def _residual_ratio(pv, qv, wv, lam, uv):
@@ -312,4 +339,11 @@ def run_campaign(name: str, seed: int, cases: int) -> CampaignResult:
 
 
 def run_all(seed: int, cases: int) -> list:
-    return [fn(seed, cases) for fn in CAMPAIGNS.values()]
+    """Every campaign, in CAMPAIGNS order.  The campaigns of a shared block
+    source take one pass over it together, so each block is drawn and solved
+    once for all of their checks; the others run one by one."""
+    shared = {}
+    for source, checks in _SHARED.items():
+        shared.update(_tally(checks, source(np.random.default_rng(seed), cases), cases))
+    return [shared[name] if name in shared else campaign(seed, cases)
+            for name, campaign in CAMPAIGNS.items()]

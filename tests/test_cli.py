@@ -290,3 +290,49 @@ def test_negative_seed_is_config_error(capsys, argv):
     assert out == ""
     assert err.startswith("config-error:") and "--seed" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_spectrum_non_finite_tol_exits_1(capsys, tol):
+    status, out, err = run_cli(capsys, "spectrum", "--preset", "constant:p=1,q=0,w=1",
+                               "--n", "4", "--tol", tol)
+    assert status == 1
+    assert out == ""
+    assert err == "error: ValidationError: need finite tol > 0\n"
+
+
+SOLVE = ("solve", "--preset", "constant:p=1", "--n", "3")
+WRONSKIAN = ("wronskian", "--preset", "constant:p=1", "--lambda", "0", "--n", "3")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (SOLVE + ("--lambda", "abc", "--u0", "0", "--u1", "1"), "--lambda"),
+    (SOLVE + ("--lambda", "0", "--u0", "1,2", "--u1", "1"), "--u0"),
+    (SOLVE + ("--lambda", "0", "--u0", "0", "--u1", "x"), "--u1"),
+    (SOLVE + ("--lambda", "0", "--u1", "x", "--pdu0", "1"), "--u1"),
+    (SOLVE + ("--lambda", "0", "--u1", "1", "--pdu0", "1j1"), "--pdu0"),
+    (("wronskian", "--preset", "constant:p=1", "--lambda", "", "--n", "3"), "--lambda"),
+    (WRONSKIAN + ("--phi0", "abc"), "--phi0"),
+    (WRONSKIAN + ("--phi1", "abc"), "--phi1"),
+    (WRONSKIAN + ("--theta0", "abc"), "--theta0"),
+    (WRONSKIAN + ("--theta1", "abc"), "--theta1"),
+    (("norm", "--preset", "constant:p=1", "--u", "abc"), "--u"),
+    (("apply", "--preset", "constant:p=1", "--u", "0,1,,2"), "--u"),
+])
+def test_malformed_number_is_config_error(capsys, argv, option):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"config-error: {option} is not a number")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "--preset", "constant:p=1", "--u", "1,nan"),
+    SOLVE + ("--lambda", "inf", "--u0", "0", "--u1", "1"),
+])
+def test_well_formed_invalid_number_exits_1(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ValidationError")

@@ -158,6 +158,13 @@ class TestShooting:
         with pytest.raises(ValidationError):
             eigen_shooting(c, 4, 0.0, np.inf)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("window", [(None, None), (0.0, 4.1), (None, 2.0)])
+    def test_non_finite_tol_rejected(self, tol, window):
+        # A NaN or infinite width test would stop the bisection at once.
+        with pytest.raises(ValidationError, match="need finite tol > 0"):
+            eigen_shooting(free_laplacian(), 4, *window, tol=tol)
+
 
 class TestPencil:
     def test_closed_form(self):

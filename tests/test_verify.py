@@ -17,6 +17,7 @@ from leftdef import (
     summation_by_parts_residual,
     wronskian_constancy_report,
 )
+from leftdef import verify
 from leftdef.calculus import (
     RESIDUAL_TOL,
     _greens_identity,
@@ -24,7 +25,7 @@ from leftdef.calculus import (
     _summation_by_parts,
 )
 from leftdef.space import _lemma1, _lemma2, _pointwise_bound
-from leftdef.verify import BLOCK, CAMPAIGNS, run_campaign, solution_residual_ratio
+from leftdef.verify import BLOCK, CAMPAIGNS, run_all, run_campaign, solution_residual_ratio
 
 
 def reference_campaigns(seed, cases, N=200):
@@ -57,6 +58,48 @@ def test_batched_campaigns_match_case_by_case_reference(cases):
         r = run_campaign(name, seed, cases)
         assert r.cases == cases
         assert (r.failures, r.worst) == (failures, worst)
+
+
+def _bits(results):
+    return [(r.name, r.cases, type(r.failures), r.failures, type(r.worst), r.worst.hex())
+            for r in results]
+
+
+@pytest.mark.parametrize("seed, cases", [(seed, cases) for seed in (0, 5, 42)
+                                         for cases in (0, 1, BLOCK, BLOCK + 1, 37)]
+                         + [(7, 1000)])
+def test_run_all_matches_each_campaign_alone(seed, cases):
+    want = [run_campaign(name, seed, cases) for name in CAMPAIGNS]
+    assert [r.name for r in want] == list(CAMPAIGNS)
+    assert _bits(run_all(seed, cases)) == _bits(want)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_run_all_solves_each_recurrence_block_once(monkeypatch):
+    solves = _count_calls(monkeypatch, "recurrence")
+    run_all(3, 2 * BLOCK + 1)
+    assert len(solves) == 3
+
+
+@pytest.mark.parametrize("name, own, other", [
+    ("wronskian-constancy", "_wronskian_drift", "_residual_ratio"),
+    ("solver-consistency", "_residual_ratio", "_wronskian_drift"),
+])
+def test_recurrence_campaign_alone_runs_its_own_check_only(monkeypatch, name, own, other):
+    solves = _count_calls(monkeypatch, "recurrence")
+    mine, theirs = _count_calls(monkeypatch, own), _count_calls(monkeypatch, other)
+    run_campaign(name, 3, 2 * BLOCK + 1)
+    assert (len(solves), len(mine), len(theirs)) == (3, 3, 0)
 
 
 def _random_complex(rng, n):
