@@ -5,13 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import spectrum as spec_mod
-from .coeffs import PRESETS, Sequence, load_coefficients, make_preset
+from .coeffs import Sequence, check_preset, load_coefficients, make_preset
 from .errors import LeftDefError
 from .operators import (
     InitKind,
@@ -55,12 +54,10 @@ def _coeffs_from_args(args):
     if getattr(args, "preset", None):
         try:
             name, params = parse_preset(args.preset)
-        except ValueError as exc:
+            check_preset(name, params)
+        except ValueError as exc:  # ValidationError is a ValueError
             raise SystemExit2(str(exc)) from exc
         _check_seed(args)
-        if name not in PRESETS:
-            raise SystemExit2(
-                f"unknown preset {name!r}, choose from {', '.join(PRESETS)}")
         return make_preset(name, params, length=args.length, rng_seed=args.seed)
     raise SystemExit2("one of --coeffs or --preset is required")
 
@@ -221,14 +218,7 @@ def cmd_spectrum(args):
         results.append(spec_mod.eigen_shooting(
             coeffs, args.n, args.lambda_min, args.lambda_max, tol=args.tol))
     if args.method in ("pencil", "both"):
-        # The shooting window (lambda_min, lambda_max], so that rows line up.
-        pencil = spec_mod.eigen_pencil(coeffs, args.n)
-        lam = np.array(pencil.eigenvalues)
-        lo, hi = (-np.inf if args.lambda_min is None else args.lambda_min,
-                  np.inf if args.lambda_max is None else args.lambda_max)
-        inside = (lo < lam) & (lam <= hi)
-        results.append(replace(pencil, eigenvalues=lam[inside].tolist(),
-                               residuals=np.array(pencil.residuals)[inside].tolist()))
+        results.append(spec_mod.eigen_pencil(coeffs, args.n, args.lambda_min, args.lambda_max))
     if args.format == "json":
         _emit([json.dumps([{
             "method": r.method,

@@ -19,6 +19,7 @@ __all__ = [
     "CoefficientSet",
     "load_coefficients",
     "make_preset",
+    "check_preset",
     "serialize_coefficients",
     "PRESETS",
 ]
@@ -115,12 +116,27 @@ def _real(name: str, vals: np.ndarray) -> np.ndarray:
     return vals.real
 
 
-def _real_sequence(name: str, arr, offset: int) -> Sequence:
-    vals = np.asarray(arr, dtype=float)
-    if vals.ndim != 1 or vals.size < 1:
-        raise ValidationError(f"{name} must be a non-empty 1-d array")
-    _require(name, np.isfinite(vals), offset, "is not finite")
-    return Sequence(offset, vals)
+def _floats(what: str, value, scalar: bool = False):
+    """value as a float64 array, or as a float if scalar, else ValidationError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or (scalar and arr.ndim):
+        raise ValidationError(f"{what} is not {'a number' if scalar else 'numeric'}: {value!r}")
+    return float(arr) if scalar else arr
+
+
+def _real_triple(p, q, w) -> CoefficientSet:
+    """The CoefficientSet of float64 p and q from index 0 and w from index 1."""
+    seqs = []
+    for name, arr, offset in (("p", p, 0), ("q", q, 0), ("w", w, 1)):
+        vals = _floats(name, arr)
+        if vals.ndim != 1 or vals.size < 1:
+            raise ValidationError(f"{name} must be a non-empty 1-d array")
+        _require(name, np.isfinite(vals), offset, "is not finite")
+        seqs.append(Sequence(offset, vals))
+    return CoefficientSet(*seqs)
 
 
 @dataclass(frozen=True)
@@ -150,71 +166,77 @@ class CoefficientSet:
         object.__setattr__(self, "q_nontrivial", bool(np.any(self.q.values > 0)))
 
 
-_RANDOM_RANGES = {"p": (0.1, 10.0), "q": (0.0, 5.0), "w": (-5.0, 5.0)}
+# Each preset's parameters, with their defaults.
+PRESETS = {
+    "constant": {"p": 1.0, "q": 0.0, "w": 1.0},
+    "power": {"p_exp": 1.0, "q_scale": 1.0, "q_exp": 0.0, "w_exp": 0.0},
+    "periodic": {"p": (1.0, 2.0), "q": (0.0, 1.0), "w": (1.0, -1.0)},
+    "random": {"p_range": (0.1, 10.0), "q_range": (0.0, 5.0), "w_range": (-5.0, 5.0)},
+}
 
-PRESETS = ("constant", "power", "periodic", "random")
+
+def check_preset(name, params) -> None:
+    """ValidationError unless name is a preset and params a mapping of its keys."""
+    if not isinstance(name, str) or name not in PRESETS:
+        raise ValidationError(f"unknown preset {name!r}, choose from {', '.join(PRESETS)}")
+    if not isinstance(params, dict):
+        raise ValidationError(f"preset params must be an object, got {params!r}")
+    for key in params:
+        if key not in PRESETS[name]:
+            raise ValidationError(f"preset {name!r} has no parameter {key!r}; "
+                                  f"it takes {', '.join(PRESETS[name])}")
 
 
 def make_preset(name: str, params: dict | None = None, length: int = 10,
                 rng_seed: int = 0) -> CoefficientSet:
     """Build a named coefficient family of the given window length.
 
-    Presets:
-      constant  p, q, w constant; params p, q, w (defaults 1, 0, 1)
+    Presets (parameter defaults in `PRESETS`):
+      constant  p, q, w constant; params p, q, w
       power     p(n) = (n+1)**p_exp, q(n) = q_scale*n**q_exp, w(n) = (-1)**n * n**w_exp
       periodic  p, q, w cycle through the given lists (params p, q, w; a
                 scalar is a one-entry cycle)
       random    uniform draws p in [0.1, 10], q in [0, 5], w in [-5, 5]; params
                 p_range, q_range, w_range override these as (lo, hi) pairs
     """
-    if name not in PRESETS:
-        raise ValidationError(f"unknown preset {name!r}")
-    params = dict(params or {})
+    params = {} if params is None else params
+    check_preset(name, params)
     if length < 2:
         raise ValidationError("length must be >= 2")
     n0 = np.arange(length, dtype=float)       # indices 0..length-1 for p, q
     n1 = np.arange(1, length + 1, dtype=float)  # indices 1..length for w
 
+    def param(key, scalar=True):
+        return _floats(f"{name} {key}", params.get(key, PRESETS[name][key]), scalar)
+
     if name == "constant":
-        p = np.full(length, float(params.get("p", 1.0)))
-        q = np.full(length, float(params.get("q", 0.0)))
-        w = np.full(length, float(params.get("w", 1.0)))
+        p, q, w = (np.full(length, param(key)) for key in "pqw")
     elif name == "power":
-        p = (n0 + 1.0) ** float(params.get("p_exp", 1.0))
-        q = float(params.get("q_scale", 1.0)) * n0 ** float(params.get("q_exp", 0.0))
-        w = (-1.0) ** n1 * n1 ** float(params.get("w_exp", 0.0))
+        p = (n0 + 1.0) ** param("p_exp")
+        q = param("q_scale") * n0 ** param("q_exp")
+        w = (-1.0) ** n1 * n1 ** param("w_exp")
     elif name == "periodic":
-        def cycle(key, default, start):
-            c = np.atleast_1d(np.asarray(params.get(key, default), dtype=float))
+        def cycle(key, start):
+            c = np.atleast_1d(param(key, scalar=False))
             if c.ndim != 1 or c.size == 0:
                 raise ValidationError(f"periodic {key} must be a non-empty list")
             return c[np.arange(start, start + length) % c.size]
-        p = cycle("p", [1.0, 2.0], 0)
-        q = cycle("q", [0.0, 1.0], 0)
-        w = cycle("w", [1.0, -1.0], 1)
+        p, q, w = cycle("p", 0), cycle("q", 0), cycle("w", 1)
     else:  # random
         def bounds(key):
-            r = np.asarray(params.get(key, _RANDOM_RANGES[key[0]]), dtype=float)
+            r = param(key, scalar=False)
             if r.shape != (2,):
                 raise ValidationError(f"random {key} must be a (lo, hi) pair")
             return r
         if rng_seed < 0:
             raise ValidationError(f"random preset seed must be >= 0, got {rng_seed}")
         rng = np.random.default_rng(rng_seed)
-        plo, phi = bounds("p_range")
-        qlo, qhi = bounds("q_range")
-        wlo, whi = bounds("w_range")
-        if plo <= 0 or qlo < 0:
+        ranges = [bounds(f"{k}_range") for k in "pqw"]
+        if ranges[0][0] <= 0 or ranges[1][0] < 0:
             raise ValidationError("random ranges must keep p > 0 and q >= 0")
-        p = rng.uniform(plo, phi, length)
-        q = rng.uniform(qlo, qhi, length)
-        w = rng.uniform(wlo, whi, length)
+        p, q, w = (rng.uniform(lo, hi, length) for lo, hi in ranges)
 
-    return CoefficientSet(
-        p=_real_sequence("p", p, 0),
-        q=_real_sequence("q", q, 0),
-        w=_real_sequence("w", w, 1),
-    )
+    return _real_triple(p, q, w)
 
 
 def load_coefficients(source) -> CoefficientSet:
@@ -237,21 +259,16 @@ def load_coefficients(source) -> CoefficientSet:
         spec = doc["preset"]
         if not isinstance(spec, dict) or "name" not in spec:
             raise ValidationError("preset entry needs a 'name'")
-        return make_preset(
-            spec["name"],
-            spec.get("params"),
-            length=int(spec.get("length", 10)),
-            rng_seed=int(spec.get("seed", 0)),
-        )
+        try:
+            length, seed = int(spec.get("length", 10)), int(spec.get("seed", 0))
+        except (TypeError, ValueError):
+            raise ValidationError("preset length and seed must be integers") from None
+        return make_preset(spec["name"], spec.get("params"), length=length, rng_seed=seed)
 
     missing = [k for k in ("p", "q", "w") if k not in doc]
     if missing:
         raise ValidationError(f"coefficient document missing keys: {missing}")
-    return CoefficientSet(
-        p=_real_sequence("p", doc["p"], 0),
-        q=_real_sequence("q", doc["q"], 0),
-        w=_real_sequence("w", doc["w"], 1),
-    )
+    return _real_triple(doc["p"], doc["q"], doc["w"])
 
 
 def serialize_coefficients(coeffs: CoefficientSet) -> str:

@@ -151,38 +151,39 @@ def shooting_range(coeffs: CoefficientSet, N: int) -> tuple:
     return (-B, B)
 
 
+def _check_window(lambda_min, lambda_max):
+    """A given end of (lambda_min, lambda_max] is finite; two given ends are ordered."""
+    ends = [x for x in (lambda_min, lambda_max) if x is not None]
+    if not np.all(np.isfinite(ends)) or (len(ends) == 2 and lambda_min >= lambda_max):
+        raise ValidationError("need finite lambda_min < lambda_max")
+
+
 def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = None,
                    lambda_max: float | None = None,
                    tol: float = 1e-12) -> SpectralResult:
     """Every eigenvalue in (lambda_min, lambda_max], by Sturm bisection on its index.
 
-    With G(lam) the number of eigenvalues in (lambda_min, lam], read from the
-    sign changes of the shooting solution, the i-th eigenvalue is the least
-    lam with G(lam) >= i.  Each i = 1..G(lambda_max) starts from the whole
-    range, and all of them are halved together until the width is at most
-    tol * max(1, |lambda|), as in LAPACK dstebz.  A missing end takes the
-    matching end of `shooting_range`; when the given end lies beyond it, the
-    window holds no eigenvalue and the result is empty.  ``brackets`` holds
-    the final [lo, hi] of each eigenvalue.
+    The window is `eigen_pencil`'s.  With G(lam) the number of eigenvalues
+    in (lambda_min, lam], read from the sign changes of the shooting
+    solution, the i-th eigenvalue is the least lam with G(lam) >= i.  Each
+    i = 1..G(lambda_max) starts from the whole window, and all of them are
+    halved together until the width is at most tol * max(1, |lambda|), as
+    in LAPACK dstebz.  A missing end starts at `shooting_range`, whose
+    counts are -#(w < 0) and #(w > 0); a given end beyond the spectrum
+    leaves no index.  ``brackets`` holds the final [lo, hi] of each
+    eigenvalue.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError("need finite tol > 0")
-    one_sided = (lambda_min is None) != (lambda_max is None)
-    if lambda_min is None or lambda_max is None:
-        lo_range, hi_range = shooting_range(coeffs, N)
-        lambda_min = lo_range if lambda_min is None else lambda_min
-        lambda_max = hi_range if lambda_max is None else lambda_max
-    if not (np.isfinite(lambda_min) and np.isfinite(lambda_max)
-            and (one_sided or lambda_min < lambda_max)):
-        raise ValidationError("need finite lambda_min < lambda_max")
-    if lambda_min >= lambda_max:  # one given end, beyond every eigenvalue
-        return SpectralResult(eigenvalues=[], method="shooting")
-
+    _check_window(lambda_min, lambda_max)
+    start = shooting_range(coeffs, N) if lambda_min is None or lambda_max is None else None
     fs = finite_section(coeffs, N)
-    base, top = _signed_count(fs, [lambda_min, lambda_max])
+    # A missing end lies beyond every eigenvalue, where inertia gives the count.
+    base = -np.sum(fs.W_diag < 0) if lambda_min is None else _signed_count(fs, lambda_min)[0]
+    top = np.sum(fs.W_diag > 0) if lambda_max is None else _signed_count(fs, lambda_max)[0]
     index = np.arange(1, top - base + 1)
-    lo = np.full(index.size, float(lambda_min))
-    hi = np.full(index.size, float(lambda_max))
+    lo = np.full(index.size, start[0] if lambda_min is None else float(lambda_min))
+    hi = np.full(index.size, start[1] if lambda_max is None else float(lambda_max))
     while True:
         mid = 0.5 * (lo + hi)
         # Stop at the width, or when no float lies strictly inside.
@@ -236,11 +237,13 @@ def _fill_zero_weights(N: int, keep: np.ndarray, elim, U_keep: np.ndarray) -> np
     return U[1:-1]
 
 
-def eigen_pencil(coeffs: CoefficientSet, N: int) -> SpectralResult:
-    """All finite eigenvalues of (L, W), by a tridiagonal congruence.
+def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None,
+                 lambda_max: float | None = None) -> SpectralResult:
+    """The finite eigenvalues of (L, W) in (lambda_min, lambda_max], by a congruence.
 
-    Indices with w = 0 carry infinite eigenvalues; they are removed by a
-    Schur complement of L, which keeps it SPD tridiagonal, and counted in
+    The window is `eigen_shooting`'s, checked by `_check_window`.  Indices
+    with w = 0 carry infinite eigenvalues; they are removed by a Schur
+    complement of L, which keeps it SPD tridiagonal, and counted in
     ``no_finite_count``.  On the rest, T = |W|^-1/2 L |W|^-1/2 = C C^T with
     C lower bidiagonal, and with J = sign(w) the pencil L u = lambda W u has
     exactly the eigenvalues of the symmetric tridiagonal C^T J C.  Its
@@ -250,8 +253,10 @@ def eigen_pencil(coeffs: CoefficientSet, N: int) -> SpectralResult:
     the number of positive and negative eigenvalues to the number of
     positive and negative w(n); a result that breaks it raises InertiaError.
     A non-finite eigenvector entry or residual, from a weight so small that
-    the congruence loses the spectrum, raises SolverOverflowError.
+    the congruence loses the spectrum, raises SolverOverflowError.  Both
+    checks see the whole spectrum; the window applies only after them.
     """
+    _check_window(lambda_min, lambda_max)
     fs = finite_section(coeffs, N)
     a, b, keep, elim = _eliminate_zero_weights(fs)
     if keep.size == 0:
@@ -288,5 +293,7 @@ def eigen_pencil(coeffs: CoefficientSet, N: int) -> SpectralResult:
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(residuals))):
         raise SolverOverflowError("an eigenvector or residual is not finite: a weight "
                                   "too small for |W|^-1/2 L |W|^-1/2")
-    return SpectralResult(eigenvalues=lam.tolist(), method="pencil",
-                          residuals=residuals.tolist(), no_finite_count=N - keep.size)
+    inside = (((-np.inf if lambda_min is None else lambda_min) < lam)
+              & (lam <= (np.inf if lambda_max is None else lambda_max)))
+    return SpectralResult(eigenvalues=lam[inside].tolist(), method="pencil",
+                          residuals=residuals[inside].tolist(), no_finite_count=N - keep.size)

@@ -162,6 +162,37 @@ def test_bad_preset_is_config_error(capsys, preset):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("preset, key", [("constant:P=2", "'P'"), ("power:p=3", "'p'"),
+                                         ("random:seed=5", "'seed'")])
+def test_unknown_inline_preset_parameter_is_config_error(capsys, preset, key):
+    status, out, err = run_cli(capsys, "spectrum", "--preset", preset, "--n", "3")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("config-error:") and err.count("\n") == 1
+    assert f"no parameter {key}" in err
+
+
+def test_invalid_inline_preset_value_still_exits_1(capsys):
+    status, out, err = run_cli(capsys, "spectrum", "--preset", "constant:p=-1", "--n", "3")
+    assert status == 1
+    assert err.startswith("error: ValidationError: p(0)")
+
+
+@pytest.mark.parametrize("doc", [
+    {"preset": {"name": "constant", "params": {"p": [1, 2]}}},
+    {"preset": {"name": "random", "length": None}},
+    {"p": {"a": 1}, "q": [0, 0, 0], "w": [1, 1, 1]},
+    {"preset": {"name": "constant", "params": {"P": 2}}},
+], ids=["list-param", "null-length", "mapping-p", "unknown-param"])
+def test_malformed_coeffs_document_exits_1(tmp_path, capsys, doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run_cli(capsys, "spectrum", "--coeffs", str(path), "--n", "2")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ValidationError: ") and err.count("\n") == 1
+
+
 def test_scalar_periodic_parameter_is_one_entry_cycle(capsys):
     status, out, err = run_cli(
         capsys, "spectrum", "--preset", "periodic:p=2", "--n", "4")
@@ -201,23 +232,38 @@ def test_spectrum_tiny_weight_exits_1(tmp_path, capsys):
     doc = tmp_path / "c.json"
     doc.write_text(json.dumps({"p": [1, 1, 1, 1], "q": [0, 0, 0, 0],
                                "w": [1, 1e-300, -1]}))
-    status, out, err = run_cli(capsys, "spectrum", "--coeffs", str(doc), "--n", "3",
-                               "--method", "pencil")
-    assert status == 1
-    assert out == ""
-    assert err.startswith("error: SolverOverflowError")
+    for window in ([], ["--lambda-max", "0"]):  # a window leaves out no check
+        status, out, err = run_cli(capsys, "spectrum", "--coeffs", str(doc), "--n", "3",
+                                   "--method", "pencil", *window)
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: SolverOverflowError")
 
 
-def test_spectrum_one_sided_window_beyond_range(capsys):
+@pytest.mark.parametrize("method", ["shooting", "pencil", "both"])
+def test_spectrum_one_sided_window_beyond_range(capsys, method):
     common = ("spectrum", "--preset", "constant:p=1,q=0,w=1", "--n", "4",
-              "--method", "shooting")
+              "--method", method)
+    header = "k,shooting,pencil" if method == "both" else f"k,{method}"
     for window in (("--lambda-min", "5"), ("--lambda-max", "-5")):
         status, out, _ = run_cli(capsys, *common, *window)
         assert status == 0
-        assert out.strip().splitlines() == ["k,shooting"]
+        assert out.strip().splitlines() == [header]
     status, out, err = run_cli(capsys, *common, "--lambda-min", "5", "--lambda-max", "1")
     assert status == 1
     assert "lambda_min < lambda_max" in err
+
+
+@pytest.mark.parametrize("method", ["shooting", "pencil", "both"])
+@pytest.mark.parametrize("window", [("--lambda-min", "nan"), ("--lambda-max", "inf"),
+                                    ("--lambda-min", "3", "--lambda-max", "1"),
+                                    ("--lambda-min", "1", "--lambda-max", "1")])
+def test_spectrum_bad_window_exits_1_for_every_method(capsys, method, window):
+    status, out, err = run_cli(capsys, "spectrum", "--preset", "constant:p=1,q=0,w=1",
+                               "--n", "4", "--method", method, *window)
+    assert status == 1
+    assert out == ""
+    assert err == "error: ValidationError: need finite lambda_min < lambda_max\n"
 
 
 @pytest.mark.parametrize("window, ks", [

@@ -98,6 +98,34 @@ def test_make_preset_errors():
         make_preset("periodic", {"w": []}, length=4)
 
 
+@pytest.mark.parametrize("name, params, key", [
+    ("constant", {"P": 2}, "P"), ("power", {"p": 3}, "p"), ("random", {"seed": 5}, "seed"),
+    ("periodic", {"p_exp": 1}, "p_exp"),
+])
+def test_make_preset_rejects_unknown_parameter(name, params, key):
+    accepted = ", ".join(PRESETS[name])
+    with pytest.raises(ValidationError, match=f"no parameter '{key}'; it takes {accepted}"):
+        make_preset(name, params, length=4)
+    doc = {"preset": {"name": name, "params": params, "length": 4}}
+    with pytest.raises(ValidationError, match=f"no parameter '{key}'"):
+        load_coefficients(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"preset": {"name": "constant", "params": {"p": [1, 2]}}}, "constant p is not a number"),
+    ({"preset": {"name": "random", "length": None}}, "length and seed must be integers"),
+    ({"preset": {"name": "random", "seed": "x"}}, "length and seed must be integers"),
+    ({"p": {"a": 1}, "q": [0, 0, 0], "w": [1, 1, 1]}, "p is not numeric"),
+    ({"preset": {"name": "periodic", "params": {"w": {"a": 1}}}}, "periodic w is not numeric"),
+    ({"preset": {"name": "random", "params": {"q_range": ["a", 1]}}}, "random q_range"),
+    ({"preset": {"name": "constant", "params": [1, 2]}}, "params must be an object"),
+    ({"preset": {"name": ["constant"]}}, "unknown preset"),
+])
+def test_malformed_document_is_validation_error(doc, match):
+    with pytest.raises(ValidationError, match=match):
+        load_coefficients(json.dumps(doc))
+
+
 @pytest.mark.parametrize("p_range", [1, [1, 2, 3]])
 def test_preset_document_range_must_be_pair(p_range):
     doc = {"preset": {"name": "random", "params": {"p_range": p_range}, "length": 6}}

@@ -209,10 +209,12 @@ class TestPencil:
 
     def test_tiny_weight_raises_instead_of_wrong_spectrum(self):
         # The exact spectrum is about [-1.414, 1.414, 2e300]; the congruence
-        # scales by 1e150 and loses the first two.
+        # scales by 1e150 and loses the first two.  The checks see the whole
+        # spectrum, so a window without the column that overflows raises too.
         c, N = explicit([1.0, 1e-300, -1.0])
-        with pytest.raises(SolverOverflowError):
-            eigen_pencil(c, N)
+        for window in [(None, None), (None, 0.0), (-2.0, 0.0), (0.0, 2.0)]:
+            with pytest.raises(SolverOverflowError):
+                eigen_pencil(c, N, *window)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(17)
@@ -225,6 +227,34 @@ class TestPencil:
         a = np.asarray(eigen_pencil(c, 12).eigenvalues)
         b = np.asarray(eigen_pencil(scaled, 12).eigenvalues)
         np.testing.assert_allclose(b, 3.0 * a, rtol=1e-9)
+
+    @pytest.mark.parametrize("w", [None, [1.0, 0.0, -2.0, 0.0, 0.0, 3.0, -1.0, 0.0]])
+    def test_window_is_the_masked_whole_spectrum(self, w):
+        # Each window returns bit for bit the eigenvalues and residuals of the
+        # unwindowed call in (lambda_min, lambda_max], including zero weights
+        # and windows that hold no eigenvalue.
+        if w is None:
+            c, N = indefinite_coeffs(np.random.default_rng(21), 24), 24
+        else:
+            c, N = explicit(w)
+        full = eigen_pencil(c, N)
+        lam, res = np.array(full.eigenvalues), np.array(full.residuals)
+        mid = lam[len(lam) // 2]
+        for lo, hi in [(None, None), (mid, None), (None, mid), (lam[0], lam[-1]),
+                       (lam[-1], None), (None, lam[0] - 1.0), (mid + 1e-9, mid + 2e-9),
+                       (-1e300, 1e300)]:
+            got = eigen_pencil(c, N, lo, hi)
+            inside = (((-np.inf if lo is None else lo) < lam)
+                      & (lam <= (np.inf if hi is None else hi)))
+            assert got.eigenvalues == lam[inside].tolist()
+            assert got.residuals == res[inside].tolist()
+            assert got.no_finite_count == full.no_finite_count
+
+    @pytest.mark.parametrize("window", [(np.nan, None), (None, np.nan), (None, np.inf),
+                                        (-np.inf, None), (3.0, 1.0), (1.0, 1.0)])
+    def test_bad_window_rejected(self, window):
+        with pytest.raises(ValidationError, match="need finite lambda_min < lambda_max"):
+            eigen_pencil(free_laplacian(), 4, *window)
 
 
 def test_shooting_range_contains_pencil_spectrum():
