@@ -99,9 +99,8 @@ def summation_by_parts_residual(f: Sequence, g: Sequence, j: int, N: int) -> flo
     _check_aligned(f, g)
     if j > N:
         raise WindowError("need j <= N")
-    f.require(j, N + 1, "f")
-    g.require(j, N + 1, "g")
-    return float(_summation_by_parts(f.window(j, N + 1), g.window(j, N + 1), 0, N - j))
+    return float(_summation_by_parts(f.window(j, N + 1, "f"), g.window(j, N + 1, "g"),
+                                     0, N - j))
 
 
 def _greens_identity(pv, uv, vv, N):
@@ -127,8 +126,5 @@ def greens_identity_residual(p: Sequence, u: Sequence, v: Sequence, N: int) -> f
     """
     if N < 1:
         raise WindowError("need N >= 1")
-    p.require(0, N, "p")
-    u.require(0, N + 1, "u")
-    v.require(0, N + 1, "v")
-    return float(_greens_identity(p.window(0, N), u.window(0, N + 1),
-                                  v.window(0, N + 1), N))
+    return float(_greens_identity(p.window(0, N, "p"), u.window(0, N + 1, "u"),
+                                  v.window(0, N + 1, "v"), N))

@@ -8,6 +8,7 @@ offset.  The convention throughout: p and q live on indices 0, 1, 2, ...
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,9 +73,10 @@ class Sequence:
         self.require(n, n)
         return self.values[n - self.offset]
 
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        """Entries lo..hi inclusive as an array view."""
-        self.require(lo, hi)
+    def window(self, lo: int, hi: int, what: str = "sequence") -> np.ndarray:
+        """Entries lo..hi inclusive as an array view; `what` names the
+        sequence in the WindowError."""
+        self.require(lo, hi, what)
         return self.values[lo - self.offset : hi + 1 - self.offset]
 
     def __eq__(self, other) -> bool:
@@ -259,9 +261,12 @@ def load_coefficients(source) -> CoefficientSet:
         spec = doc["preset"]
         if not isinstance(spec, dict) or "name" not in spec:
             raise ValidationError("preset entry needs a 'name'")
+        length, seed = spec.get("length", 10), spec.get("seed", 0)
         try:
-            length, seed = int(spec.get("length", 10)), int(spec.get("seed", 0))
-        except (TypeError, ValueError):
+            if isinstance(length, bool) or isinstance(seed, bool):
+                raise TypeError("a bool is not a count")
+            length, seed = operator.index(length), operator.index(seed)
+        except TypeError:
             raise ValidationError("preset length and seed must be integers") from None
         return make_preset(spec["name"], spec.get("params"), length=length, rng_seed=seed)
 

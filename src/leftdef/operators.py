@@ -156,19 +156,17 @@ def solve_recurrence(coeffs: CoefficientSet, lam: complex, init_kind: InitKind,
         raise ValidationError("lambda must be finite")
     if N < 1:
         raise WindowError("need N >= 1")
-    coeffs.p.require(0, N, "p")
-    coeffs.q.require(1, N, "q")
-    coeffs.w.require(1, N, "w")
+    pv, qv, wv = (coeffs.p.window(0, N, "p"), coeffs.q.window(1, N, "q"),
+                  coeffs.w.window(1, N, "w"))
 
     init_kind = InitKind(init_kind)
     if init_kind is InitKind.VALUE_PAIR:
         u0, u1 = complex(a), complex(b)
     else:
         u1 = complex(a)
-        u0 = u1 - complex(b) / coeffs.p.at(0)
+        u0 = u1 - complex(b) / pv[0]
 
-    u = recurrence(coeffs.p.window(0, N), coeffs.q.window(1, N),
-                   coeffs.w.window(1, N), lam, u0, u1)
+    u = recurrence(pv, qv, wv, lam, u0, u1)
     return Solution(lam=complex(lam), init_kind=init_kind,
                     init=(complex(a), complex(b)), values=Sequence(0, u))
 
@@ -189,12 +187,8 @@ def wronskian(coeffs: CoefficientSet, phi: Sequence, theta: Sequence,
     p(n) (phi(n) theta(n+1) - phi(n+1) theta(n)), which is exactly
     antisymmetric in floating point.
     """
-    phi.require(n, n + 1, "phi")
-    theta.require(n, n + 1, "theta")
-    pn = coeffs.p.at(n)
-    f0, f1 = phi.at(n), phi.at(n + 1)
-    t0, t1 = theta.at(n), theta.at(n + 1)
-    return WronskianValue(n, complex(pn * _cross(f0, f1, t0, t1)))
+    f, t = phi.window(n, n + 1, "phi"), theta.window(n, n + 1, "theta")
+    return WronskianValue(n, complex(_wronskian(coeffs.p.window(n, n, "p"), f, t)[0]))
 
 
 def _wronskian_window(coeffs: CoefficientSet, phi: Sequence, theta: Sequence):

@@ -79,12 +79,9 @@ def finite_section(coeffs: CoefficientSet, N: int) -> FiniteSection:
     """Assemble the N-by-N Dirichlet section matrices."""
     if N < 1:
         raise WindowError("need N >= 1")
-    coeffs.p.require(0, N, "p")
-    coeffs.q.require(1, N, "q")
-    coeffs.w.require(1, N, "w")
-    pv = coeffs.p.window(0, N)
-    qv = coeffs.q.window(1, N)
-    wv = coeffs.w.window(1, N)
+    pv = coeffs.p.window(0, N, "p")
+    qv = coeffs.q.window(1, N, "q")
+    wv = coeffs.w.window(1, N, "w")
     return FiniteSection(
         N=N,
         L_diag=pv[:-1] + pv[1:] + qv,
@@ -100,13 +97,17 @@ def shooting_function(coeffs: CoefficientSet, lam: float, N: int) -> float:
 
 
 def _sturm_count(fs: FiniteSection, lams) -> np.ndarray:
-    """Negative-pivot count of L - lam W, vectorized over real lam.
+    """Signed Sturm count of the pencil, vectorized over real lam: the
+    number of eigenvalues in (0, lam) for lam >= 0, and minus the number in
+    (lam, 0) for lam < 0, so differences count the eigenvalues in any
+    interval.
 
     The LDL^T pivots of the tridiagonal L - lam W are d(n) = p(n) u(n+1)/u(n)
     for the shooting solution u(0) = 0, u(1) = 1, so the number of negative
     pivots is the number of sign changes of u on 1..N+1, and also the number
-    of eigenvalues of L - lam W below zero.  Tiny pivots are pushed away from
-    zero, sign-preserving.
+    of eigenvalues of L - lam W below zero; L is positive definite, so that
+    is how many pencil eigenvalues lie between 0 and lam.  Tiny pivots are
+    pushed away from zero, sign-preserving.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     a, w = fs.L_diag, fs.W_diag
@@ -118,18 +119,7 @@ def _sturm_count(fs: FiniteSection, lams) -> np.ndarray:
             d = a[i] - lams * w[i] - b2[i] / d
             d = np.copysign(np.maximum(np.abs(d), 1e-290), d)
             cnt += d < 0
-    return cnt
-
-
-def _signed_count(fs: FiniteSection, lams) -> np.ndarray:
-    """Monotone root counter: counts pencil eigenvalues between 0 and lam.
-
-    For lam > 0 this is the number of eigenvalues in (0, lam); for lam < 0,
-    minus the number in (lam, 0).  Differences of this function count the
-    eigenvalues in any interval.
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return np.where(lams >= 0, 1, -1) * _sturm_count(fs, lams)
+    return np.where(lams >= 0, cnt, -cnt)
 
 
 def shooting_range(coeffs: CoefficientSet, N: int) -> tuple:
@@ -137,12 +127,13 @@ def shooting_range(coeffs: CoefficientSet, N: int) -> tuple:
 
     L is positive definite, so by Sylvester's law of inertia the pencil has
     exactly #(w > 0) positive and #(w < 0) negative finite eigenvalues.  B
-    is doubled from 1 until the pivot counts at -B and B reach those
-    numbers; zero weights only add infinite eigenvalues, which no count sees.
+    is doubled from 1 until the signed counts at -B and B reach -#(w < 0)
+    and #(w > 0); zero weights only add infinite eigenvalues, which no
+    count sees.
     Raises SolverOverflowError when B overflows before the counts are met.
     """
     fs = finite_section(coeffs, N)
-    target = [int(np.sum(fs.W_diag < 0)), int(np.sum(fs.W_diag > 0))]
+    target = [-int(np.sum(fs.W_diag < 0)), int(np.sum(fs.W_diag > 0))]
     B = 1.0
     while _sturm_count(fs, [-B, B]).tolist() != target:
         B *= 2.0
@@ -179,8 +170,8 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
     start = shooting_range(coeffs, N) if lambda_min is None or lambda_max is None else None
     fs = finite_section(coeffs, N)
     # A missing end lies beyond every eigenvalue, where inertia gives the count.
-    base = -np.sum(fs.W_diag < 0) if lambda_min is None else _signed_count(fs, lambda_min)[0]
-    top = np.sum(fs.W_diag > 0) if lambda_max is None else _signed_count(fs, lambda_max)[0]
+    base = -np.sum(fs.W_diag < 0) if lambda_min is None else _sturm_count(fs, lambda_min)[0]
+    top = np.sum(fs.W_diag > 0) if lambda_max is None else _sturm_count(fs, lambda_max)[0]
     index = np.arange(1, top - base + 1)
     lo = np.full(index.size, start[0] if lambda_min is None else float(lambda_min))
     hi = np.full(index.size, start[1] if lambda_max is None else float(lambda_max))
@@ -191,7 +182,7 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
                              & (lo < mid) & (mid < hi))
         if act.size == 0:
             break
-        left = _signed_count(fs, mid[act]) - base >= index[act]
+        left = _sturm_count(fs, mid[act]) - base >= index[act]
         hi[act] = np.where(left, mid[act], hi[act])
         lo[act] = np.where(left, lo[act], mid[act])
     return SpectralResult(eigenvalues=(0.5 * (lo + hi)).tolist(), method="shooting",

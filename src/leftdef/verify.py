@@ -247,8 +247,8 @@ def _residual_ratio(pv, qv, wv, lam, uv):
 def solution_residual_ratio(coeffs: CoefficientSet, sol) -> float:
     """max_n |(Lu)(n) - lam w(n) u(n)| / (1e-10 * per-index term magnitude)."""
     N = sol.values.end - 2
-    return float(_residual_ratio(coeffs.p.window(0, N), coeffs.q.window(1, N),
-                                 coeffs.w.window(1, N), sol.lam,
+    return float(_residual_ratio(coeffs.p.window(0, N, "p"), coeffs.q.window(1, N, "q"),
+                                 coeffs.w.window(1, N, "w"), sol.lam,
                                  sol.values.window(0, N + 1)))
 
 

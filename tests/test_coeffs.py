@@ -120,6 +120,11 @@ def test_make_preset_rejects_unknown_parameter(name, params, key):
     ({"preset": {"name": "random", "params": {"q_range": ["a", 1]}}}, "random q_range"),
     ({"preset": {"name": "constant", "params": [1, 2]}}, "params must be an object"),
     ({"preset": {"name": ["constant"]}}, "unknown preset"),
+    ({"preset": {"name": "random", "length": 12.7}}, "length and seed must be integers"),
+    ({"preset": {"name": "random", "seed": 3.9}}, "length and seed must be integers"),
+    ({"preset": {"name": "random", "length": "12"}}, "length and seed must be integers"),
+    ({"preset": {"name": "random", "length": True}}, "length and seed must be integers"),
+    ({"preset": {"name": "random", "seed": False}}, "length and seed must be integers"),
 ])
 def test_malformed_document_is_validation_error(doc, match):
     with pytest.raises(ValidationError, match=match):

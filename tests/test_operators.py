@@ -9,6 +9,8 @@ from leftdef import (
     ValidationError,
     WindowError,
     apply_L,
+    finite_section,
+    greens_identity_residual,
     make_preset,
     recurrence,
     solve_recurrence,
@@ -217,3 +219,49 @@ class TestWronskian:
         theta = solve_recurrence(c, 1.0, InitKind.VALUE_PAIR, 0.0, 1.0, 8)
         with pytest.raises(ValidationError):
             wronskian_constancy_report(c, phi, theta)
+
+    @pytest.mark.parametrize("solutions", ["complex", "real"])
+    def test_pointwise_equals_sequence_bitwise(self, solutions):
+        c = make_preset("random", length=24, rng_seed=5)
+        if solutions == "complex":
+            phi = solve_recurrence(c, 0.7 - 0.2j, InitKind.VALUE_PAIR, 1.0, 0.5j, 20).values
+            theta = solve_recurrence(c, 0.7 - 0.2j, InitKind.VALUE_PAIR, 0.0, 1.0, 20).values
+        else:
+            rng = np.random.default_rng(6)
+            phi, theta = Sequence(0, rng.normal(size=22)), Sequence(0, rng.normal(size=22))
+        seq = wronskian_sequence(c, phi, theta)
+        for n in range(seq.offset, seq.end):
+            value, ref = wronskian(c, phi, theta, n).value, complex(seq.at(n))
+            assert (value.real.hex(), value.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+
+def coeffs_of(p_len, q_len, w_len):
+    return CoefficientSet(p=Sequence(0, np.ones(p_len)), q=Sequence(0, np.zeros(q_len)),
+                          w=Sequence(1, np.ones(w_len)))
+
+
+def short_residual_ratio():
+    sol = solve_recurrence(constant_coeffs(length=12), 0.5, InitKind.VALUE_PAIR, 0.0, 1.0, 10)
+    return solution_residual_ratio(coeffs_of(5, 12, 12), sol)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: finite_section(coeffs_of(6, 6, 3), 5), r"w window \[1, 4\) does not cover 1\.\.5"),
+    (lambda: solve_recurrence(coeffs_of(7, 4, 6), 1.0, InitKind.VALUE_PAIR, 0.0, 1.0, 5),
+     r"q window \[0, 4\) does not cover 1\.\.5"),
+    (lambda: wronskian(coeffs_of(3, 3, 3), Sequence(0, np.ones(8)), Sequence(0, np.ones(8)), 4),
+     r"p window \[0, 3\) does not cover 4\.\.4"),
+    (short_residual_ratio, r"p window \[0, 5\) does not cover 0\.\.10"),
+    (lambda: greens_identity_residual(Sequence(0, np.ones(6)), Sequence(0, np.ones(7)),
+                                      Sequence(0, np.ones(4)), 5),
+     r"v window \[0, 4\) does not cover 0\.\.6"),
+], ids=["finite_section", "solve_recurrence", "wronskian", "solution_residual_ratio",
+        "greens_identity_residual"])
+def test_window_error_names_the_short_sequence(call, message):
+    with pytest.raises(WindowError, match=f"^{message}$"):
+        call()
+
+
+def test_short_window_is_reported_before_init_kind():
+    with pytest.raises(WindowError, match="^p window"):
+        solve_recurrence(coeffs_of(3, 8, 8), 1.0, "no such kind", 0.0, 1.0, 5)
