@@ -1,8 +1,15 @@
-"""Command-line interface: batch solves, norms, bounds, verification, spectra."""
+"""Command-line interface: batch solves, norms, bounds, verification, spectra.
+
+Each command states its result once, as a JSON document and as CSV rows, and
+`_write` prints the form that ``--format`` asks for, to stdout or ``--out``.
+CSV cells are ``%.17g``; JSON values are JSON numbers, with a complex entry
+as ``[re, im]``.  Both read back to the same doubles.
+"""
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -21,12 +28,6 @@ from .operators import (
 )
 from .space import bound_constants, h1_norm, l2_norm
 from .verify import CAMPAIGNS, run_all, run_campaign
-
-FMT = "%.17g"
-
-
-def _num(x) -> str:
-    return FMT % x
 
 
 def parse_preset(text: str):
@@ -49,17 +50,19 @@ def parse_preset(text: str):
 
 
 def _coeffs_from_args(args):
-    if getattr(args, "coeffs", None):
+    if args.coeffs and args.preset:
+        raise SystemExit2("--coeffs and --preset exclude each other")
+    _check_seed(args)
+    if args.coeffs:
         return load_coefficients(Path(args.coeffs).read_text())
-    if getattr(args, "preset", None):
-        try:
-            name, params = parse_preset(args.preset)
-            check_preset(name, params)
-        except ValueError as exc:  # ValidationError is a ValueError
-            raise SystemExit2(str(exc)) from exc
-        _check_seed(args)
-        return make_preset(name, params, length=args.length, rng_seed=args.seed)
-    raise SystemExit2("one of --coeffs or --preset is required")
+    if not args.preset:
+        raise SystemExit2("one of --coeffs or --preset is required")
+    try:
+        name, params = parse_preset(args.preset)
+        check_preset(name, params)
+    except ValueError as exc:  # ValidationError is a ValueError
+        raise SystemExit2(str(exc)) from exc
+    return make_preset(name, params, length=args.length, rng_seed=args.seed)
 
 
 class SystemExit2(Exception):
@@ -83,40 +86,40 @@ def _check_seed(args):
         raise SystemExit2(f"--seed must be >= 0, got {args.seed}")
 
 
-def _emit(lines, args):
-    text = "\n".join(lines) + "\n"
+def _write(args, doc, header: str, rows):
+    """Print ``json.dumps(doc())``, or the CSV line `header` and the lines ``rows()``.
+
+    `doc` and `rows` are zero-argument callables, and only the one that
+    ``--format`` asks for is called, so the other form is never built.
+    """
+    if args.format == "json":
+        text = json.dumps(doc()) + "\n"
+    else:
+        text = "\n".join(itertools.chain([header], rows())) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _sequence_rows(seq: Sequence):
-    rows = []
-    complex_any = bool(np.any(seq.values.imag != 0.0))
-    for i, v in enumerate(seq.values):
-        n = seq.offset + i
-        if complex_any:
-            rows.append((n, (_num(v.real), _num(v.imag))))
-        else:
-            rows.append((n, (_num(v.real),)))
-    return rows, complex_any
+def _complex(seq: Sequence):
+    """(n, re, im) for each entry of `seq`, as Python ints and floats."""
+    return zip(range(seq.offset, seq.end), seq.values.real.tolist(), seq.values.imag.tolist())
 
 
-def _emit_sequence(seq: Sequence, args, value_name="u"):
-    rows, complex_any = _sequence_rows(seq)
-    if args.format == "json":
-        payload = {
-            "offset": seq.offset,
-            value_name: [
-                {"n": n, "value": list(vals) if complex_any else vals[0]}
-                for n, vals in rows
-            ],
-        }
-        _emit([json.dumps(payload)], args)
+def _write_sequence(args, seq: Sequence, name: str):
+    """Write `seq` as rows `n,<name>` with JSON numbers or, when any entry is
+    complex, as rows `n,re,im` with JSON pairs ``[re, im]``."""
+    if np.any(seq.values.imag != 0.0):
+        _write(args, lambda: {"offset": seq.offset,
+                              name: [{"n": n, "value": [re, im]} for n, re, im in _complex(seq)]},
+               "n,re,im", lambda: (f"{n},{re:.17g},{im:.17g}" for n, re, im in _complex(seq)))
     else:
-        header = "n,re,im" if complex_any else f"n,{value_name}"
-        _emit([header] + [",".join([str(n)] + list(vals)) for n, vals in rows], args)
+        def real():
+            return enumerate(seq.values.real.tolist(), seq.offset)
+        _write(args, lambda: {"offset": seq.offset,
+                              name: [{"n": n, "value": v} for n, v in real()]},
+               f"n,{name}", lambda: (f"{n},{v:.17g}" for n, v in real()))
 
 
 def _init_from_args(args):
@@ -135,7 +138,7 @@ def _init_from_args(args):
 def cmd_apply(args):
     coeffs = _coeffs_from_args(args)
     u = _parse_values(args.u)
-    _emit_sequence(apply_L(coeffs, u), args, value_name="Lu")
+    _write_sequence(args, apply_L(coeffs, u), "Lu")
 
 
 def cmd_solve(args):
@@ -143,7 +146,7 @@ def cmd_solve(args):
     lam = _number(args.lam, "--lambda")
     kind, a, b = _init_from_args(args)
     sol = solve_recurrence(coeffs, lam, kind, a, b, args.n)
-    _emit_sequence(sol.values, args)
+    _write_sequence(args, sol.values, "u")
 
 
 def cmd_wronskian(args):
@@ -156,38 +159,30 @@ def cmd_wronskian(args):
     theta = solve_recurrence(coeffs, lam, kind, theta0, theta1, args.n)
     w = wronskian_sequence(coeffs, phi.values, theta.values)
     rep = wronskian_constancy_report(coeffs, phi, theta)
-    if args.format == "json":
-        _emit([json.dumps({
-            "wronskian": [{"n": w.offset + i, "value": [v.real, v.imag]}
-                          for i, v in enumerate(w.values)],
-            "constancy": {"max_drift": rep.lhs, "bound": rep.rhs, "holds": rep.holds},
-        })], args)
-    else:
-        lines = ["n,re,im"]
-        lines += [f"{w.offset + i},{_num(v.real)},{_num(v.imag)}"
-                  for i, v in enumerate(w.values)]
-        lines.append(f"constancy,{_num(rep.lhs)},{'holds' if rep.holds else 'FAILS'}")
-        _emit(lines, args)
+
+    def rows():
+        yield from (f"{n},{re:.17g},{im:.17g}" for n, re, im in _complex(w))
+        yield f"constancy,{rep.lhs:.17g},{'holds' if rep.holds else 'FAILS'}"
+
+    _write(args, lambda: {
+        "wronskian": [{"n": n, "value": [re, im]} for n, re, im in _complex(w)],
+        "constancy": {"max_drift": rep.lhs, "bound": rep.rhs, "holds": rep.holds},
+    }, "n,re,im", rows)
 
 
 def cmd_norm(args):
     coeffs = _coeffs_from_args(args)
     u = _parse_values(args.u)
     h1, l2 = h1_norm(coeffs, u), l2_norm(u)
-    if args.format == "json":
-        _emit([json.dumps({"h1_norm": h1, "l2_norm": l2})], args)
-    else:
-        _emit(["quantity,value", f"h1_norm,{_num(h1)}", f"l2_norm,{_num(l2)}"], args)
+    _write(args, lambda: {"h1_norm": h1, "l2_norm": l2},
+           "quantity,value", lambda: [f"h1_norm,{h1:.17g}", f"l2_norm,{l2:.17g}"])
 
 
 def cmd_bounds(args):
     coeffs = _coeffs_from_args(args)
     bc = bound_constants(coeffs, args.n)
-    if args.format == "json":
-        _emit([json.dumps({"r": bc.r, "C_r": bc.C_r, "C_N": bc.C_N})], args)
-    else:
-        _emit(["quantity,value", f"r,{bc.r}", f"C_r,{_num(bc.C_r)}",
-               f"C_N,{_num(bc.C_N)}"], args)
+    _write(args, lambda: {"r": bc.r, "C_r": bc.C_r, "C_N": bc.C_N},
+           "quantity,value", lambda: [f"r,{bc.r}", f"C_r,{bc.C_r:.17g}", f"C_N,{bc.C_N:.17g}"])
 
 
 def cmd_verify(args):
@@ -199,15 +194,14 @@ def cmd_verify(args):
     else:
         results = [run_campaign(args.suite, args.seed, args.cases)]
     total_failures = sum(r.failures for r in results)
-    if args.format == "json":
-        _emit([json.dumps([{"suite": r.name, "cases": r.cases, "failures": r.failures,
-                            "worst": r.worst} for r in results])], args)
-    else:
-        lines = ["suite,cases,failures,worst"]
-        for r in results:
-            lines.append(f"{r.name},{r.cases},{r.failures},{_num(r.worst)}")
-        lines.append(f"total,{sum(r.cases for r in results)},{total_failures},")
-        _emit(lines, args)
+
+    def rows():
+        yield from (f"{r.name},{r.cases},{r.failures},{r.worst:.17g}" for r in results)
+        yield f"total,{sum(r.cases for r in results)},{total_failures},"
+
+    _write(args, lambda: [{"suite": r.name, "cases": r.cases, "failures": r.failures,
+                           "worst": r.worst} for r in results],
+           "suite,cases,failures,worst", rows)
     return 0 if total_failures == 0 else 1
 
 
@@ -219,23 +213,19 @@ def cmd_spectrum(args):
             coeffs, args.n, args.lambda_min, args.lambda_max, tol=args.tol))
     if args.method in ("pencil", "both"):
         results.append(spec_mod.eigen_pencil(coeffs, args.n, args.lambda_min, args.lambda_max))
-    if args.format == "json":
-        _emit([json.dumps([{
-            "method": r.method,
-            "eigenvalues": r.eigenvalues,
-            "residuals": r.residuals,
-            "no_finite_count": r.no_finite_count,
-        } for r in results])], args)
-    else:
-        header = "k," + ",".join(r.method for r in results)
-        lines = [header]
-        rows = max(len(r.eigenvalues) for r in results)
-        for k in range(rows):
-            cells = [str(k + 1)]
-            for r in results:
-                cells.append(_num(r.eigenvalues[k]) if k < len(r.eigenvalues) else "")
-            lines.append(",".join(cells))
-        _emit(lines, args)
+
+    def rows():
+        # a method that found fewer eigenvalues leaves its cells empty
+        columns = itertools.zip_longest(*(r.eigenvalues for r in results))
+        for k, row in enumerate(columns, 1):
+            yield ",".join([str(k)] + ["" if v is None else f"{v:.17g}" for v in row])
+
+    _write(args, lambda: [{
+        "method": r.method,
+        "eigenvalues": r.eigenvalues,
+        "residuals": r.residuals,
+        "no_finite_count": r.no_finite_count,
+    } for r in results], "k," + ",".join(r.method for r in results), rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,19 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from leftdef import spectrum as spec_mod
 from leftdef.cli import main, parse_preset
+from leftdef.coeffs import Sequence, make_preset
+from leftdef.operators import (
+    InitKind,
+    apply_L,
+    solve_recurrence,
+    wronskian_constancy_report,
+    wronskian_sequence,
+)
 
 
 def run_cli(capsys, *argv):
@@ -382,3 +392,146 @@ def test_well_formed_invalid_number_exits_1(capsys, argv):
     assert status == 1
     assert out == ""
     assert err.startswith("error: ValidationError")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--preset", "constant:p=5,q=1,w=1"),
+    ("--seed", "-1"),
+], ids=["preset", "negative-seed"])
+def test_option_ignored_next_to_coeffs_is_config_error(tmp_path, capsys, argv):
+    doc = tmp_path / "c.json"
+    doc.write_text('{"p": [1,1,1,1], "q": [0,1,0,0], "w": [1,1,1]}')
+    status, out, err = run_cli(capsys, "bounds", "--coeffs", str(doc), *argv, "--n", "1")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("config-error:") and argv[0] in err
+    assert err.count("\n") == 1
+
+
+# Round trips: every CSV cell and JSON value reads back to the library's own double.
+
+RANDOM = ("--preset", "random", "--seed", "3", "--length", "20")
+VP = InitKind.VALUE_PAIR
+
+
+def random_coeffs():
+    return make_preset("random", {}, length=20, rng_seed=3)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def csv_table(out):
+    header, *rows = out.splitlines()
+    return header, [row.split(",") for row in rows]
+
+
+SEQUENCES = {
+    "solve-real": (("solve", "--lambda", "1.5", "--u0", "1", "--u1", "0.5", "--n", "10"),
+                   "u", lambda c: solve_recurrence(c, 1.5 + 0j, VP, 1 + 0j, 0.5 + 0j, 10).values),
+    "solve-complex": (("solve", "--lambda", "1.5+0.5j", "--u0", "1", "--u1", "0.5j", "--n", "10"),
+                      "u", lambda c: solve_recurrence(c, 1.5 + 0.5j, VP, 1 + 0j, 0.5j, 10).values),
+    "apply-real": (("apply", "--u", "0.1,-2.5,7,1e-300,3"), "Lu",
+                   lambda c: apply_L(c, Sequence(0, np.array([0.1, -2.5, 7, 1e-300, 3],
+                                                             dtype=complex)))),
+    "apply-complex": (("apply", "--u", "1+2j,0,3-1j,4,5j"), "Lu",
+                      lambda c: apply_L(c, Sequence(0, np.array([1 + 2j, 0, 3 - 1j, 4, 5j])))),
+}
+
+
+@pytest.mark.parametrize("case", SEQUENCES)
+def test_sequence_round_trip(capsys, case):
+    argv, name, reference = SEQUENCES[case]
+    seq = reference(random_coeffs())
+    is_complex = case.endswith("complex")
+    assert bool(np.any(seq.values.imag != 0)) == is_complex
+    want = [hexes(seq.values.real), hexes(seq.values.imag)][:1 + is_complex]
+    ns = list(range(seq.offset, seq.end))
+
+    status, out, _ = run_cli(capsys, argv[0], *RANDOM, *argv[1:])
+    assert status == 0
+    header, rows = csv_table(out)
+    assert header == ("n,re,im" if is_complex else f"n,{name}")
+    assert [int(row[0]) for row in rows] == ns
+    assert [hexes(col) for col in list(zip(*rows))[1:]] == want
+
+    status, out, _ = run_cli(capsys, argv[0], *RANDOM, *argv[1:], "--format", "json")
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["offset"] == seq.offset
+    assert [e["n"] for e in doc[name]] == ns
+    values = [e["value"] if is_complex else [e["value"]] for e in doc[name]]
+    assert all(type(x) is float for value in values for x in value)
+    assert [[x.hex() for x in col] for col in zip(*values)] == want
+
+
+def test_wronskian_round_trip(capsys):
+    c = random_coeffs()
+    phi = solve_recurrence(c, 0.3 - 1j, VP, 1 + 0j, 1 + 0j, 15)
+    theta = solve_recurrence(c, 0.3 - 1j, VP, 0j, 1 + 0j, 15)
+    w = wronskian_sequence(c, phi.values, theta.values)
+    rep = wronskian_constancy_report(c, phi, theta)
+    argv = ("wronskian", *RANDOM, "--lambda", "0.3-1j", "--n", "15")
+
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0
+    header, rows = csv_table(out)
+    assert header == "n,re,im"
+    *rows, constancy = rows
+    assert [int(row[0]) for row in rows] == list(range(w.offset, w.end))
+    assert hexes(row[1] for row in rows) == hexes(w.values.real)
+    assert hexes(row[2] for row in rows) == hexes(w.values.imag)
+    assert constancy[::2] == ["constancy", "holds" if rep.holds else "FAILS"]
+    assert float(constancy[1]).hex() == float(rep.lhs).hex()
+
+    status, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert status == 0
+    doc = json.loads(out)
+    assert [e["n"] for e in doc["wronskian"]] == list(range(w.offset, w.end))
+    assert hexes(e["value"][0] for e in doc["wronskian"]) == hexes(w.values.real)
+    assert hexes(e["value"][1] for e in doc["wronskian"]) == hexes(w.values.imag)
+    assert doc["constancy"] == {"max_drift": rep.lhs, "bound": rep.rhs, "holds": rep.holds}
+
+
+def test_spectrum_both_round_trip(capsys):
+    c = random_coeffs()
+    want = [spec_mod.eigen_shooting(c, 12), spec_mod.eigen_pencil(c, 12)]
+    argv = ("spectrum", *RANDOM, "--n", "12", "--method", "both")
+
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0
+    header, rows = csv_table(out)
+    assert header == "k,shooting,pencil"
+    assert [int(row[0]) for row in rows] == list(range(1, 13))
+    assert [hexes(col) for col in list(zip(*rows))[1:]] == [hexes(r.eigenvalues) for r in want]
+
+    status, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert status == 0
+    doc = json.loads(out)
+    assert [d["method"] for d in doc] == ["shooting", "pencil"]
+    for d, r in zip(doc, want):
+        assert hexes(d["eigenvalues"]) == hexes(r.eigenvalues)
+        assert hexes(d["residuals"]) == hexes(r.residuals)
+        assert d["no_finite_count"] == r.no_finite_count
+
+
+@pytest.mark.parametrize("short, empty", [("eigen_shooting", 0), ("eigen_pencil", 1)])
+def test_spectrum_csv_pads_shorter_column(capsys, monkeypatch, short, empty):
+    solver = getattr(spec_mod, short)
+
+    def one_fewer(*args, **kwargs):
+        r = solver(*args, **kwargs)
+        return dataclasses.replace(r, eigenvalues=r.eigenvalues[:-1])
+
+    monkeypatch.setattr(spec_mod, short, one_fewer)
+    status, out, _ = run_cli(capsys, "spectrum", "--preset", "constant:p=1,q=0,w=1",
+                             "--n", "4", "--method", "both")
+    assert status == 0
+    header, rows = csv_table(out)
+    assert header == "k,shooting,pencil"
+    assert [len(row) for row in rows] == [3] * 4
+    assert all("" not in row for row in rows[:3])
+    k, *cells = rows[3]
+    assert k == "4" and cells[empty] == ""
+    assert float(cells[1 - empty]) == pytest.approx(4 * np.sin(4 * np.pi / 10) ** 2)
