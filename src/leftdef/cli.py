@@ -50,19 +50,22 @@ def parse_preset(text: str):
 
 
 def _coeffs_from_args(args):
-    if args.coeffs and args.preset:
-        raise SystemExit2("--coeffs and --preset exclude each other")
-    _check_seed(args)
     if args.coeffs:
+        for option in ("preset", "length", "seed"):
+            if getattr(args, option) is not None:
+                raise SystemExit2(f"--coeffs and --{option} exclude each other")
         return load_coefficients(Path(args.coeffs).read_text())
     if not args.preset:
         raise SystemExit2("one of --coeffs or --preset is required")
+    length = 64 if args.length is None else args.length
+    seed = 0 if args.seed is None else args.seed
+    _check_seed(seed)
     try:
         name, params = parse_preset(args.preset)
         check_preset(name, params)
     except ValueError as exc:  # ValidationError is a ValueError
         raise SystemExit2(str(exc)) from exc
-    return make_preset(name, params, length=args.length, rng_seed=args.seed)
+    return make_preset(name, params, length=length, rng_seed=seed)
 
 
 class SystemExit2(Exception):
@@ -81,9 +84,9 @@ def _parse_values(text: str) -> Sequence:
     return Sequence(0, np.array([_number(v, "--u") for v in text.split(",")]))
 
 
-def _check_seed(args):
-    if args.seed < 0:
-        raise SystemExit2(f"--seed must be >= 0, got {args.seed}")
+def _check_seed(seed: int):
+    if seed < 0:
+        raise SystemExit2(f"--seed must be >= 0, got {seed}")
 
 
 def _write(args, doc, header: str, rows):
@@ -188,7 +191,7 @@ def cmd_bounds(args):
 def cmd_verify(args):
     if args.cases < 0:
         raise SystemExit2(f"--cases must be >= 0, got {args.cases}")
-    _check_seed(args)
+    _check_seed(args.seed)
     if args.suite == "all":
         results = run_all(args.seed, args.cases)
     else:
@@ -239,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         if coeffs:
             p.add_argument("--coeffs", help="path to a coefficient JSON document")
             p.add_argument("--preset", help="inline preset, e.g. constant:p=1,q=0,w=1")
-            p.add_argument("--length", type=int, default=64,
-                           help="window length for inline presets")
-            p.add_argument("--seed", type=int, default=0, help="preset RNG seed")
+            p.add_argument("--length", type=int,
+                           help="window length for inline presets (default 64)")
+            p.add_argument("--seed", type=int, help="preset RNG seed (default 0)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", help="write output to this path instead of stdout")
 

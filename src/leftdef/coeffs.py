@@ -241,11 +241,19 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
     return _real_triple(p, q, w)
 
 
+def _check_keys(mapping: dict, keys: tuple, what: str) -> None:
+    """ValidationError naming the first key of mapping that is not in keys."""
+    for key in mapping:
+        if key not in keys:
+            raise ValidationError(f"{what} takes {', '.join(keys)}, not {key!r}")
+
+
 def load_coefficients(source) -> CoefficientSet:
     """Parse a coefficient document (JSON text, path-free) into a CoefficientSet.
 
     The document is either ``{"p": [...], "q": [...], "w": [...]}`` or
-    ``{"preset": {"name": ..., "params": {...}, "length": ..., "seed": ...}}``.
+    ``{"preset": {"name": ..., "params": {...}, "length": ..., "seed": ...}}``;
+    any other key is a ValidationError.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -258,9 +266,11 @@ def load_coefficients(source) -> CoefficientSet:
         raise ValidationError("coefficient document must be a JSON object")
 
     if "preset" in doc:
+        _check_keys(doc, ("preset",), "a preset document")
         spec = doc["preset"]
         if not isinstance(spec, dict) or "name" not in spec:
             raise ValidationError("preset entry needs a 'name'")
+        _check_keys(spec, ("name", "params", "length", "seed"), "a preset entry")
         length, seed = spec.get("length", 10), spec.get("seed", 0)
         try:
             if isinstance(length, bool) or isinstance(seed, bool):
@@ -270,6 +280,7 @@ def load_coefficients(source) -> CoefficientSet:
             raise ValidationError("preset length and seed must be integers") from None
         return make_preset(spec["name"], spec.get("params"), length=length, rng_seed=seed)
 
+    _check_keys(doc, ("p", "q", "w"), "a coefficient document")
     missing = [k for k in ("p", "q", "w") if k not in doc]
     if missing:
         raise ValidationError(f"coefficient document missing keys: {missing}")

@@ -3,12 +3,16 @@
 Each campaign draws a fixed number of random cases from a deterministic RNG,
 evaluates one identity or inequality per case, and reports the number of
 failures together with the worst normalized residual or smallest margin.
-All eight campaigns draw their cases one by one, in a fixed order, and check
-them in blocks of `BLOCK` cases per array pass: cases of different lengths
-are zero-padded along axis 0 and each column is checked over its own length.
-The Wronskian and solver-consistency campaigns read the same solved blocks
-of recurrence cases; run alone, each draws and solves them for its own
-check, and `run_all` draws and solves each block once for both.
+A campaign is a per-case ``draw(rng)``, which returns the case's row of
+scalars and its list of 1-d arrays, plus a block check registered with
+``@_campaign(name, draw, solve=...)``.  One loop, `_blocks`, draws the cases
+one by one in a fixed order, cuts them into blocks of `BLOCK` cases and pads
+each block's arrays with zeros along axis 0 (`_padded`); an optional `solve`
+turns the block into what the check reads, and the check takes one array
+pass per block, each column over its own length.  The Wronskian and
+solver-consistency campaigns share the source (`_tame_case`, `_solve_tame`):
+run alone, each draws and solves its blocks for its own check, and `run_all`
+draws and solves each block once for both.
 The CLI `verify` subcommand and the acceptance tests both run these.
 """
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _greens_identity, _index, _product_rule, _summation_by_parts
+from .calculus import RESIDUAL_TOL, _greens_identity, _index, _product_rule, _summation_by_parts
 from .coeffs import CoefficientSet, _check_coefficients, _require
 from .operators import _apply_L, _wronskian_drift, recurrence
 from .space import _lemma1, _lemma2, _pointwise_bound, _slack
@@ -39,50 +43,7 @@ class CampaignResult:
 
 
 CAMPAIGNS = {}
-_SHARED = {}   # block source -> {name: check} of the campaigns that read it
-
-
-def _tally(checks: dict, blocks, cases: int) -> dict:
-    """The CampaignResult of each campaign of `checks`, a {name: check}
-    mapping whose checks map every one of `blocks` to (largest ratio, number
-    failed).  A campaign counts the failed cases and reports the largest
-    ratio, at least 0."""
-    worst, failures = dict.fromkeys(checks, 0.0), dict.fromkeys(checks, 0)
-    for block in blocks:
-        for name, check in checks.items():
-            ratio, failed = check(block)
-            worst[name] = max(worst[name], float(ratio))
-            failures[name] += int(failed)
-    return {name: CampaignResult(name, cases, failures[name], worst[name])
-            for name in checks}
-
-
-def _campaign(name: str, source=None):
-    """Register the campaign `name`.
-
-    Without a `source`, the decorated function is a block generator
-    ``gen(rng, cases)`` that yields (largest ratio, number failed) for each
-    block of cases.  With one, it is a check that maps each block the
-    generator ``source(rng, cases)`` yields to that pair, and the campaigns
-    of one source share it: `run_all` draws each of its blocks once and
-    applies all of their checks to it.  The registered function takes
-    (seed, cases), computes its own check only, and replaces the decorated
-    function under its module-level name; its pairs stay reachable, block
-    by block, as its ``blocks(rng, cases)``.
-    """
-    def register(fn):
-        gen, check = (source, fn) if source else (fn, lambda pair: pair)
-
-        def campaign(seed: int, cases: int) -> CampaignResult:
-            return _tally({name: check}, gen(np.random.default_rng(seed), cases), cases)[name]
-        campaign.__name__ = campaign.__qualname__ = fn.__name__
-        campaign.__doc__ = fn.__doc__
-        campaign.blocks = lambda rng, cases: map(check, gen(rng, cases))
-        if source:
-            _SHARED.setdefault(source, {})[name] = check
-        CAMPAIGNS[name] = campaign
-        return campaign
-    return register
+_SOURCES = {}   # (draw, solve) -> {name: check} of the campaigns that read its blocks
 
 
 # Cases per array pass.  A block of 32 keeps the working set of a solved
@@ -93,23 +54,69 @@ def _campaign(name: str, source=None):
 BLOCK = 32
 
 
-def _block_sizes(cases: int) -> list:
-    return [min(BLOCK, cases - start) for start in range(0, cases, BLOCK)]
-
-
-def _padded(sizes, draws) -> np.ndarray:
+def _padded(draws) -> np.ndarray:
     """A block's draws as zero-padded arrays, index on axis 1, case on axis 2.
 
-    Case k drew arrays of lengths sizes[k][0], sizes[k][1], ... in turn, and
-    draws lists the arrays drawn, case after case; array j of case k lands
-    in out[j, :sizes[k][j], k].  One uniform call may draw several arrays
-    of the same range at once, since it yields the same numbers.
+    draws[k] lists the 1-d arrays that case k drew, and array j of case k
+    lands in out[j, :len, k].
     """
-    sizes = np.asarray(sizes)
+    sizes = np.array([[len(a) for a in case] for case in draws])
     width = int(sizes.max())
     out = np.zeros(sizes.shape + (width,))
-    out[np.arange(width) < sizes[..., None]] = np.concatenate(draws)
+    out[np.arange(width) < sizes[..., None]] = np.concatenate([a for case in draws for a in case])
     return out.transpose(1, 2, 0).copy()
+
+
+def _blocks(source, rng, cases: int):
+    """The blocks of `cases` cases that source = (draw, solve) yields.
+
+    Each block draws its (at most `BLOCK`) cases in turn with ``draw(rng)``,
+    which returns a case's row of scalars and its list of 1-d arrays, and is
+    ``solve(columns, arrays)``: the rows as columns, one per scalar, and the
+    arrays `_padded`.
+    """
+    draw, solve = source
+    for start in range(0, cases, BLOCK):
+        rows, draws = zip(*[draw(rng) for _ in range(min(BLOCK, cases - start))])
+        yield solve(np.array(rows).T, _padded(draws))
+
+
+def _tally(checks: dict, blocks, cases: int) -> dict:
+    """The CampaignResult of each campaign of `checks`, a {name: check}
+    mapping whose checks map every one of `blocks` to (largest ratio, number
+    failed).  A campaign counts the failed cases and reports the largest
+    ratio, at least 0."""
+    worst, failures = dict.fromkeys(checks, 0.0), dict.fromkeys(checks, 0)
+    for block in blocks:
+        for name, check in checks.items():
+            ratio, failed = check(*block)
+            worst[name] = max(worst[name], float(ratio))
+            failures[name] += int(failed)
+    return {name: CampaignResult(name, cases, failures[name], worst[name])
+            for name in checks}
+
+
+def _campaign(name: str, draw, solve=lambda *block: block):
+    """Register the campaign `name`, whose check is the decorated function:
+    it maps each block of the source (draw, solve), see `_blocks`, to
+    (largest ratio, number failed).  The registered function takes (seed,
+    cases), computes this check only and replaces the check under its
+    module-level name; its ``blocks(rng, cases)`` yields the pairs block by
+    block.  `run_all` applies all checks of one source to each of its blocks.
+    """
+    source = (draw, solve)
+
+    def register(check):
+        def campaign(seed: int, cases: int) -> CampaignResult:
+            return _tally({name: check}, _blocks(source, np.random.default_rng(seed), cases),
+                          cases)[name]
+        campaign.__name__ = campaign.__qualname__ = check.__name__
+        campaign.__doc__ = check.__doc__
+        campaign.blocks = lambda rng, cases: (check(*b) for b in _blocks(source, rng, cases))
+        _SOURCES.setdefault(source, {})[name] = check
+        CAMPAIGNS[name] = campaign
+        return campaign
+    return register
 
 
 def _check_finite(**arrays):
@@ -124,8 +131,8 @@ def _complex_pairs(parts):
 
 
 def _residual_block(residual, scale):
-    """The largest residual / (1e-12 * scale) of a block and how many exceed 1."""
-    ratio = residual / (1e-12 * scale)
+    """The largest residual / (RESIDUAL_TOL * scale) of a block and how many exceed 1."""
+    ratio = residual / (RESIDUAL_TOL * scale)
     return np.max(ratio), np.sum(ratio > 1.0)
 
 
@@ -136,98 +143,86 @@ def _excess(lhs, rhs):
     return np.max((lhs - rhs) / slack), np.sum(~(lhs <= rhs + slack))
 
 
-def _pair_block(n, draws):
-    """Complex f, g and their scale max(1, max|f| max|g|) from a block whose
-    case k drew Re f, Im f, Re g and Im g of length n[k] in one call."""
-    f, g = _complex_pairs(_padded(np.repeat(n[:, None], 4, axis=1), draws))
+def _pair_block(parts):
+    """Complex f, g and their scale max(1, max|f| max|g|) from the padded
+    Re f, Im f, Re g and Im g of a block."""
+    f, g = _complex_pairs(parts)
     _check_finite(f=f, g=g)
     return f, g, np.maximum(1.0, np.max(np.abs(f), axis=0) * np.max(np.abs(g), axis=0))
 
 
-@_campaign("product-rule")
-def product_rule_campaign(rng, cases):
-    for B in _block_sizes(cases):
-        cols, draws = [], []
-        for _ in range(B):
-            n = int(rng.integers(2, 201))
-            draws.append(rng.uniform(-10.0, 10.0, 4 * n))
-            cols.append(n)
-        n = np.array(cols)
-        f, g, scale = _pair_block(n, draws)
-        yield _residual_block(_product_rule(f, g, n), scale)
+def _product_rule_case(rng):
+    n = int(rng.integers(2, 201))
+    return (n,), [*rng.uniform(-10.0, 10.0, (4, n))]   # Re f, Im f, Re g, Im g
 
 
-@_campaign("summation-by-parts")
-def summation_by_parts_campaign(rng, cases):
-    for B in _block_sizes(cases):
-        cols, draws = [], []
-        for _ in range(B):
-            n = int(rng.integers(3, 201))
-            draws.append(rng.uniform(-10.0, 10.0, 4 * n))
-            j = int(rng.integers(0, n - 2))
-            cols.append((n, j, int(rng.integers(j, n - 1))))
-        n, j, N = np.array(cols).T
-        f, g, scale = _pair_block(n, draws)
-        yield _residual_block(_summation_by_parts(f, g, j, N), scale)
+@_campaign("product-rule", _product_rule_case)
+def product_rule_campaign(cols, parts):
+    f, g, scale = _pair_block(parts)
+    return _residual_block(_product_rule(f, g, cols[0]), scale)
 
 
-@_campaign("greens-identity")
-def greens_identity_campaign(rng, cases):
-    for B in _block_sizes(cases):
-        cols, draws = [], []
-        for _ in range(B):
-            N = int(rng.integers(1, 199))
-            draws += [rng.uniform(0.1, 10.0, N + 1),          # p(0..N)
-                      rng.uniform(-10.0, 10.0, 4 * (N + 2))]  # Re u, Im u, Re v, Im v
-            cols.append(N)
-        N = np.array(cols)
-        p, *parts = _padded(np.column_stack([N + 1] + [N + 2] * 4), draws)
-        u, v = _complex_pairs(parts)
-        _check_finite(p=p, u=u, v=v)
-        scale = np.maximum(1.0, np.max(p, axis=0) * np.max(np.abs(u), axis=0)
-                           * np.max(np.abs(v), axis=0))
-        yield _residual_block(_greens_identity(p[:-1], u, v, N), scale)
+def _summation_by_parts_case(rng):
+    n = int(rng.integers(3, 201))
+    parts = rng.uniform(-10.0, 10.0, (4, n))
+    j = int(rng.integers(0, n - 2))
+    return (j, int(rng.integers(j, n - 1))), [*parts]
 
 
-def _tame_blocks(rng, cases: int):
-    """Solved blocks of random instances with moderate recurrence growth,
-    the block source of the Wronskian and solver-consistency campaigns.
-
-    Each case draws, in this order, p, q on 0..N and w on 1..N+1, a real
-    lambda and four complex initial values: (u(0), u(1)) of phi and of
-    theta, with N = 200.  Yields ((pv, qv, wv, lam), u) for B cases:
-    p(0..N), q(1..N) and w(1..N) of shape (len, 1, B), lam of shape (B,),
-    and the solutions u of shape (N+2, 2, B) with phi and theta on axis 1.
-    """
-    N = 200
-    for B in _block_sizes(cases):
-        p, q, w = np.empty((N + 1, B)), np.empty((N + 1, B)), np.empty((N + 1, B))
-        lam = np.empty(B)
-        init = np.empty((B, 4), dtype=complex)
-        for k in range(B):
-            p[:, k] = rng.uniform(1.0, 2.0, N + 1)
-            q[:, k] = rng.uniform(0.0, 0.5, N + 1)
-            w[:, k] = rng.uniform(-0.5, 0.5, N + 1)
-            lam[k] = rng.uniform(-10.0, 10.0)
-            init[k] = rng.uniform(-1.0, 1.0, 4) + 1j * rng.uniform(-1.0, 1.0, 4)
-        _check_coefficients(p, q, w)
-        args = (p[:, None], q[1:, None], w[:-1, None], lam)
-        yield args, recurrence(*args, init[:, 0::2].T, init[:, 1::2].T)
+@_campaign("summation-by-parts", _summation_by_parts_case)
+def summation_by_parts_campaign(cols, parts):
+    f, g, scale = _pair_block(parts)
+    return _residual_block(_summation_by_parts(f, g, *cols), scale)
 
 
-@_campaign("wronskian-constancy", _tame_blocks)
-def wronskian_campaign(block):
+def _greens_identity_case(rng):
+    N = int(rng.integers(1, 199))
+    return (N,), [rng.uniform(0.1, 10.0, N + 1),              # p(0..N)
+                  *rng.uniform(-10.0, 10.0, (4, N + 2))]      # Re u, Im u, Re v, Im v
+
+
+@_campaign("greens-identity", _greens_identity_case)
+def greens_identity_campaign(cols, arrays):
+    p, *parts = arrays
+    u, v = _complex_pairs(parts)
+    _check_finite(p=p, u=u, v=v)
+    scale = np.maximum(1.0, np.max(p, axis=0) * np.max(np.abs(u), axis=0)
+                       * np.max(np.abs(v), axis=0))
+    return _residual_block(_greens_identity(p[:-1], u, v, cols[0]), scale)
+
+
+def _tame_case(rng):
+    """A random instance with moderate recurrence growth, the case of the
+    Wronskian and solver-consistency campaigns: p, q on 0..N and w on
+    1..N+1, a real lambda, and four complex initial values, (u(0), u(1)) of
+    phi and of theta, drawn as their real and then their imaginary parts,
+    with N = 200."""
+    pqw = [rng.uniform(lo, hi, 201) for lo, hi in ((1.0, 2.0), (0.0, 0.5), (-0.5, 0.5))]
+    return (rng.uniform(-10.0, 10.0),), pqw + [*rng.uniform(-1.0, 1.0, (2, 4))]
+
+
+def _solve_tame(cols, arrays):
+    """((pv, qv, wv, lam), u) of a block of `_tame_case` draws: p(0..N),
+    q(1..N) and w(1..N) of shape (len, 1, B), lam of shape (B,), and the
+    solutions u of shape (N+2, 2, B) with phi and theta on axis 1."""
+    p, q, w, re, im = arrays
+    _check_coefficients(p, q, w)
+    init = re[:4] + 1j * im[:4]
+    args = (p[:, None], q[1:, None], w[:-1, None], cols[0])
+    return args, recurrence(*args, init[0::2], init[1::2])
+
+
+@_campaign("wronskian-constancy", _tame_case, _solve_tame)
+def wronskian_campaign(args, u):
     """Drift of the Wronskian of phi and theta over each case's window."""
-    (pv, _, _, _), u = block
-    drift, bound = _wronskian_drift(pv, u[:, :1], u[:, 1:])
+    drift, bound = _wronskian_drift(args[0], u[:, :1], u[:, 1:])
     return np.max(drift / bound), np.sum(drift > bound)
 
 
-@_campaign("solver-consistency", _tame_blocks)
-def solver_consistency_campaign(block):
+@_campaign("solver-consistency", _tame_case, _solve_tame)
+def solver_consistency_campaign(args, u):
     """Residual of apply_L(u) = lam w u for phi and theta of each case, on
     the solved blocks that the Wronskian check reads too."""
-    args, u = block
     ratio = _residual_ratio(*args, u)
     return np.max(ratio), np.sum(ratio > 1.0)
 
@@ -252,11 +247,11 @@ def solution_residual_ratio(coeffs: CoefficientSet, sol) -> float:
                                  sol.values.window(0, N + 1)))
 
 
-def _supported(length, draws, count):
-    """The padded arrays of a lemma block: `count` coefficient arrays of each
-    case's length, then a complex u on 0..length-1 that vanishes outside
-    1..length-3, drawn as its real and then its imaginary parts."""
-    *coeffs, ur, ui = _padded(np.column_stack([length] * count + [length - 3] * 2), draws)
+def _supported(arrays):
+    """The coefficient arrays of a lemma block, and the complex u on
+    0..length-1 that vanishes outside 1..length-3, from its last two padded
+    arrays: the real and imaginary parts of u(1..length-3)."""
+    *coeffs, ur, ui = arrays
     u = np.zeros(ur.shape, dtype=complex)
     u[1:] = (ur + 1j * ui)[:-1]
     _check_finite(u=u)
@@ -268,68 +263,65 @@ def _positive_padding(p, length):
     return np.where(_index(p) < length, p, 1.0)
 
 
-@_campaign("lemma1")
-def lemma1_campaign(rng, cases):
-    for B in _block_sizes(cases):
-        cols, draws = [], []
-        for _ in range(B):
-            length = int(rng.integers(8, 60))
-            draws += [rng.uniform(0.1, 10.0, length),              # p
-                      rng.uniform(-10.0, 10.0, 2 * (length - 3))]  # u(1..length-3)
-            n = int(rng.integers(1, length - 1))
-            cols.append((length, n, int(rng.integers(n, length - 1))))
-        length, n, m = np.array(cols).T
-        (p,), u = _supported(length, draws, 1)
-        yield _excess(*_lemma1(_positive_padding(p, length), u, n, m, 1, length - 2))
-
-
-def _coefficient_case(rng, draws) -> tuple:
-    """Draw the coefficients and u of one lemma2 or pointwise-bound case.
-
-    Appends q, p, w and u(1..length-3) to draws and returns (length, b):
-    q(b) gets 0.5 more, so that q has a positive entry past index 0.
-    """
+def _lemma1_case(rng):
     length = int(rng.integers(8, 60))
-    draws.append(rng.uniform(0.0, 5.0, length))
+    arrays = [rng.uniform(0.1, 10.0, length),                  # p
+              *rng.uniform(-10.0, 10.0, (2, length - 3))]      # u(1..length-3)
+    n = int(rng.integers(1, length - 1))
+    return (length, n, int(rng.integers(n, length - 1))), arrays
+
+
+@_campaign("lemma1", _lemma1_case)
+def lemma1_campaign(cols, arrays):
+    length, n, m = cols
+    (p,), u = _supported(arrays)
+    return _excess(*_lemma1(_positive_padding(p, length), u, n, m, 1, length - 2))
+
+
+def _coefficient_case(rng) -> tuple:
+    """The row (length, b) and the arrays q, p, w and u(1..length-3) of one
+    lemma2 or pointwise-bound case: q(b) gets 0.5 more, so that q has a
+    positive entry past index 0."""
+    length = int(rng.integers(8, 60))
+    q = rng.uniform(0.0, 5.0, length)
     bump = 1 + int(rng.integers(0, length - 1))
-    draws += [rng.uniform(0.1, 10.0, length), rng.uniform(-5.0, 5.0, length),
-              rng.uniform(-10.0, 10.0, 2 * (length - 3))]
-    return length, bump
+    return (length, bump), [q, rng.uniform(0.1, 10.0, length), rng.uniform(-5.0, 5.0, length),
+                            *rng.uniform(-10.0, 10.0, (2, length - 3))]
 
 
-def _coefficient_block(length, bump, draws):
+def _coefficient_block(length, bump, arrays):
     """p, q and u of a block of `_coefficient_case` draws, with the checks a
     CoefficientSet makes on p, q and w."""
-    (q, p, w), u = _supported(length, draws, 3)
+    (q, p, w), u = _supported(arrays)
     q[bump, np.arange(len(bump))] += 0.5
     p = _positive_padding(p, length)
     _check_coefficients(p, q, w)
     return p, q, u
 
 
-@_campaign("lemma2")
-def lemma2_campaign(rng, cases):
-    for B in _block_sizes(cases):
-        cols, draws = [], []
-        for _ in range(B):
-            length, bump = _coefficient_case(rng, draws)
-            cols.append((length, bump, int(rng.integers(1, length))))  # m in 1..r
-        length, bump, m = np.array(cols).T
-        p, q, u = _coefficient_block(length, bump, draws)
-        yield _excess(*_lemma2(p, q, u, m, length - 1, length - 2))
+def _lemma2_case(rng):
+    row, arrays = _coefficient_case(rng)
+    return row + (int(rng.integers(1, row[0])),), arrays   # m in 1..r
 
 
-@_campaign("pointwise-bound")
-def pointwise_bound_campaign(rng, cases):
-    for B in _block_sizes(cases):
-        cols, draws = [], []
-        for _ in range(B):
-            length, bump = _coefficient_case(rng, draws)
-            N = int(rng.integers(1, length - 1))
-            cols.append((length, bump, N, int(rng.integers(1, N + 1))))
-        length, bump, N, m = np.array(cols).T
-        p, q, u = _coefficient_block(length, bump, draws)
-        yield _excess(*_pointwise_bound(p, q, u, m, N, length - 1))
+@_campaign("lemma2", _lemma2_case)
+def lemma2_campaign(cols, arrays):
+    length, bump, m = cols
+    p, q, u = _coefficient_block(length, bump, arrays)
+    return _excess(*_lemma2(p, q, u, m, length - 1, length - 2))
+
+
+def _pointwise_bound_case(rng):
+    row, arrays = _coefficient_case(rng)
+    N = int(rng.integers(1, row[0] - 1))
+    return row + (N, int(rng.integers(1, N + 1))), arrays
+
+
+@_campaign("pointwise-bound", _pointwise_bound_case)
+def pointwise_bound_campaign(cols, arrays):
+    length, bump, N, m = cols
+    p, q, u = _coefficient_block(length, bump, arrays)
+    return _excess(*_pointwise_bound(p, q, u, m, N, length - 1))
 
 
 def run_campaign(name: str, seed: int, cases: int) -> CampaignResult:
@@ -343,7 +335,9 @@ def run_all(seed: int, cases: int) -> list:
     source take one pass over it together, so each block is drawn and solved
     once for all of their checks; the others run one by one."""
     shared = {}
-    for source, checks in _SHARED.items():
-        shared.update(_tally(checks, source(np.random.default_rng(seed), cases), cases))
+    for source, checks in _SOURCES.items():
+        if len(checks) > 1:
+            shared.update(_tally(checks, _blocks(source, np.random.default_rng(seed), cases),
+                                 cases))
     return [shared[name] if name in shared else campaign(seed, cases)
             for name, campaign in CAMPAIGNS.items()]

@@ -397,7 +397,9 @@ def test_well_formed_invalid_number_exits_1(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("--preset", "constant:p=5,q=1,w=1"),
     ("--seed", "-1"),
-], ids=["preset", "negative-seed"])
+    ("--length", "5"),
+    ("--seed", "9"),
+], ids=["preset", "negative-seed", "length", "seed"])
 def test_option_ignored_next_to_coeffs_is_config_error(tmp_path, capsys, argv):
     doc = tmp_path / "c.json"
     doc.write_text('{"p": [1,1,1,1], "q": [0,1,0,0], "w": [1,1,1]}')

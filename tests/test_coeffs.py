@@ -125,6 +125,10 @@ def test_make_preset_rejects_unknown_parameter(name, params, key):
     ({"preset": {"name": "random", "length": "12"}}, "length and seed must be integers"),
     ({"preset": {"name": "random", "length": True}}, "length and seed must be integers"),
     ({"preset": {"name": "random", "seed": False}}, "length and seed must be integers"),
+    ({"preset": {"name": "constant"}, "p": [1, 1], "q": [0, 0], "w": [1]},
+     "a preset document takes preset, not 'p'"),
+    ({"p": [1, 1], "q": [0, 0], "w": [1], "wx": [2]}, "takes p, q, w, not 'wx'"),
+    ({"preset": {"name": "random", "lenght": 4}}, "a preset entry takes .*, not 'lenght'"),
 ])
 def test_malformed_document_is_validation_error(doc, match):
     with pytest.raises(ValidationError, match=match):

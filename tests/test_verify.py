@@ -74,6 +74,30 @@ def test_run_all_matches_each_campaign_alone(seed, cases):
     assert _bits(run_all(seed, cases)) == _bits(want)
 
 
+# The worst ratio of each campaign of run_all(7, 100), in the settled per-case
+# draw order.  A new order moves a nonzero value by O(1) relative; the
+# tolerance leaves room only for vectorized complex products that round
+# differently on another CPU.
+PINNED_WORST = {
+    "product-rule": float.fromhex("0x1.a1862800e823dp-12"),
+    "summation-by-parts": float.fromhex("0x1.42eae39a18f76p-9"),
+    "greens-identity": float.fromhex("0x1.59b7ecb840d6dp-9"),
+    "wronskian-constancy": float.fromhex("0x1.2d09351f425fep-21"),
+    "solver-consistency": float.fromhex("0x1.362042d63e109p-14"),
+    "lemma1": 0.0,
+    "lemma2": 0.0,
+    "pointwise-bound": 0.0,
+}
+
+
+def test_run_all_pins_the_draw_order():
+    results = run_all(7, 100)
+    assert [r.name for r in results] == list(PINNED_WORST)
+    for r in results:
+        assert (r.cases, r.failures) == (100, 0)
+        assert r.worst == pytest.approx(PINNED_WORST[r.name], rel=1e-9, abs=0)
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     fn = getattr(verify, name)
