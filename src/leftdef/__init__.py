@@ -30,7 +30,6 @@ from .errors import (
 from .operators import (
     InitKind,
     Solution,
-    WronskianValue,
     apply_L,
     recurrence,
     solve_recurrence,

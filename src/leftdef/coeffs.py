@@ -43,6 +43,7 @@ class Sequence:
         vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64, copy=False)
         if vals.ndim != 1 or vals.size < 1:
             raise ValidationError("sequence needs at least one entry")
+        object.__setattr__(self, "offset", _integer(self.offset, "offset must be an integer"))
         if self.offset < 0:
             raise ValidationError("offset must be >= 0")
         if not np.all(np.isfinite(vals)):
@@ -87,6 +88,17 @@ class Sequence:
     def __hash__(self):
         # Equal real and complex windows must hash alike, so hash the complex bytes.
         return hash((self.offset, self.values.astype(np.complex128, copy=False).tobytes()))
+
+
+def _integer(value, error: str) -> int:
+    """value as an int, else ValidationError(error): a bool or a non-integer
+    is no index or count, while numpy integers pass."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(error)
 
 
 def _require(name: str, ok: np.ndarray, offset: int, what: str):
@@ -203,6 +215,8 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
     """
     params = {} if params is None else params
     check_preset(name, params)
+    length, rng_seed = (_integer(n, "preset length and seed must be integers")
+                        for n in (length, rng_seed))
     if length < 2:
         raise ValidationError("length must be >= 2")
     n0 = np.arange(length, dtype=float)       # indices 0..length-1 for p, q
@@ -271,14 +285,8 @@ def load_coefficients(source) -> CoefficientSet:
         if not isinstance(spec, dict) or "name" not in spec:
             raise ValidationError("preset entry needs a 'name'")
         _check_keys(spec, ("name", "params", "length", "seed"), "a preset entry")
-        length, seed = spec.get("length", 10), spec.get("seed", 0)
-        try:
-            if isinstance(length, bool) or isinstance(seed, bool):
-                raise TypeError("a bool is not a count")
-            length, seed = operator.index(length), operator.index(seed)
-        except TypeError:
-            raise ValidationError("preset length and seed must be integers") from None
-        return make_preset(spec["name"], spec.get("params"), length=length, rng_seed=seed)
+        return make_preset(spec["name"], spec.get("params"), length=spec.get("length", 10),
+                           rng_seed=spec.get("seed", 0))
 
     _check_keys(doc, ("p", "q", "w"), "a coefficient document")
     missing = [k for k in ("p", "q", "w") if k not in doc]

@@ -25,7 +25,6 @@ from .space import BoundReport, inequality_report
 __all__ = [
     "InitKind",
     "Solution",
-    "WronskianValue",
     "apply_L",
     "recurrence",
     "solve_recurrence",
@@ -44,18 +43,10 @@ class InitKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Solution:
-    """A recurrence solution on 0..N+1, carrying its eigenparameter and seed data."""
+    """A recurrence solution on 0..N+1 and its eigenparameter."""
 
     lam: complex
-    init_kind: InitKind
-    init: tuple
     values: Sequence
-
-
-@dataclass(frozen=True)
-class WronskianValue:
-    at_index: int
-    value: complex
 
 
 def _apply_L(pv, qv, uv):
@@ -167,8 +158,7 @@ def solve_recurrence(coeffs: CoefficientSet, lam: complex, init_kind: InitKind,
         u0 = u1 - complex(b) / pv[0]
 
     u = recurrence(pv, qv, wv, lam, u0, u1)
-    return Solution(lam=complex(lam), init_kind=init_kind,
-                    init=(complex(a), complex(b)), values=Sequence(0, u))
+    return Solution(lam=complex(lam), values=Sequence(0, u))
 
 
 def _cross(f0, f1, t0, t1):
@@ -179,8 +169,7 @@ def _cross(f0, f1, t0, t1):
     return re + 1j * im
 
 
-def wronskian(coeffs: CoefficientSet, phi: Sequence, theta: Sequence,
-              n: int) -> WronskianValue:
+def wronskian(coeffs: CoefficientSet, phi: Sequence, theta: Sequence, n: int) -> complex:
     """W(n) = p(n) (phi(n) Dtheta(n) - Dphi(n) theta(n)).
 
     Evaluated in the algebraically equal cross form
@@ -188,7 +177,7 @@ def wronskian(coeffs: CoefficientSet, phi: Sequence, theta: Sequence,
     antisymmetric in floating point.
     """
     f, t = phi.window(n, n + 1, "phi"), theta.window(n, n + 1, "theta")
-    return WronskianValue(n, complex(_wronskian(coeffs.p.window(n, n, "p"), f, t)[0]))
+    return complex(_wronskian(coeffs.p.window(n, n, "p"), f, t)[0])
 
 
 def _wronskian_window(coeffs: CoefficientSet, phi: Sequence, theta: Sequence):

@@ -1,15 +1,17 @@
 """Seeded verification campaigns over random instances.
 
-Each campaign draws a fixed number of random cases from a deterministic RNG,
-evaluates one identity or inequality per case, and reports the number of
-failures together with the worst normalized residual or smallest margin.
+Each campaign draws a fixed number of random cases from a deterministic RNG
+and reports its failed cases and `worst`, the largest per-case ratio
+(residual / tolerance, (lhs - rhs) / slack, or drift / bound): a case fails
+when its ratio passes 1, and `worst` is 0 when there are no cases.
 A campaign is a per-case ``draw(rng)``, which returns the case's row of
 scalars and its list of 1-d arrays, plus a block check registered with
 ``@_campaign(name, draw, solve=...)``.  One loop, `_blocks`, draws the cases
 one by one in a fixed order, cuts them into blocks of `BLOCK` cases and pads
 each block's arrays with zeros along axis 0 (`_padded`); an optional `solve`
-turns the block into what the check reads, and the check takes one array
-pass per block, each column over its own length.  The Wronskian and
+turns the block into what the check reads.  The check takes one array pass
+per block, each column over its own length, and returns the per-case arrays
+(ratio, failed); `_tally` alone reduces them.  The Wronskian and
 solver-consistency campaigns share the source (`_tame_case`, `_solve_tame`):
 run alone, each draws and solves its blocks for its own check, and `run_all`
 draws and solves each block once for both.
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import RESIDUAL_TOL, _greens_identity, _index, _product_rule, _summation_by_parts
-from .coeffs import CoefficientSet, _check_coefficients, _require
+from .coeffs import CoefficientSet, _check_coefficients, _integer, _require
+from .errors import ValidationError
 from .operators import _apply_L, _wronskian_drift, recurrence
 from .space import _lemma1, _lemma2, _pointwise_bound, _slack
 
@@ -35,7 +38,7 @@ class CampaignResult:
     name: str
     cases: int
     failures: int
-    worst: float    # max residual/tolerance ratio, or max lhs-rhs excess ratio
+    worst: float    # largest per-case ratio (a case fails past 1); 0 with no cases
 
     @property
     def ok(self) -> bool:
@@ -68,48 +71,45 @@ def _padded(draws) -> np.ndarray:
 
 
 def _blocks(source, rng, cases: int):
-    """The blocks of `cases` cases that source = (draw, solve) yields.
-
-    Each block draws its (at most `BLOCK`) cases in turn with ``draw(rng)``,
-    which returns a case's row of scalars and its list of 1-d arrays, and is
-    ``solve(columns, arrays)``: the rows as columns, one per scalar, and the
-    arrays `_padded`.
-    """
+    """The blocks of `cases` cases of source = (draw, solve): each is
+    ``solve(columns, arrays)`` of at most `BLOCK` draws, their rows as one
+    column per scalar and their arrays `_padded`."""
     draw, solve = source
     for start in range(0, cases, BLOCK):
         rows, draws = zip(*[draw(rng) for _ in range(min(BLOCK, cases - start))])
         yield solve(np.array(rows).T, _padded(draws))
 
 
-def _tally(checks: dict, blocks, cases: int) -> dict:
+def _tally(checks: dict, source, seed: int, cases: int) -> dict:
     """The CampaignResult of each campaign of `checks`, a {name: check}
-    mapping whose checks map every one of `blocks` to (largest ratio, number
-    failed).  A campaign counts the failed cases and reports the largest
-    ratio, at least 0."""
-    worst, failures = dict.fromkeys(checks, 0.0), dict.fromkeys(checks, 0)
-    for block in blocks:
+    mapping whose checks map every block of `source`, see `_blocks`, to the
+    per-case arrays (ratio, failed).  A campaign counts the failed entries
+    and reports the largest ratio, or 0.0 when there are no cases."""
+    seed, cases = (_integer(n, "seed and cases must be integers") for n in (seed, cases))
+    if seed < 0 or cases < 0:
+        raise ValidationError(f"seed and cases must be >= 0, got {seed} and {cases}")
+    worst, failures = dict.fromkeys(checks, -np.inf), dict.fromkeys(checks, 0)
+    for block in _blocks(source, np.random.default_rng(seed), cases):
         for name, check in checks.items():
             ratio, failed = check(*block)
-            worst[name] = max(worst[name], float(ratio))
-            failures[name] += int(failed)
-    return {name: CampaignResult(name, cases, failures[name], worst[name])
+            worst[name] = max(worst[name], float(np.max(ratio)))
+            failures[name] += int(np.sum(failed))
+    return {name: CampaignResult(name, cases, failures[name], worst[name] if cases else 0.0)
             for name in checks}
 
 
 def _campaign(name: str, draw, solve=lambda *block: block):
     """Register the campaign `name`, whose check is the decorated function:
-    it maps each block of the source (draw, solve), see `_blocks`, to
-    (largest ratio, number failed).  The registered function takes (seed,
+    it maps each block of the source (draw, solve), see `_blocks`, to the
+    per-case arrays (ratio, failed).  The registered function takes (seed,
     cases), computes this check only and replaces the check under its
     module-level name; its ``blocks(rng, cases)`` yields the pairs block by
-    block.  `run_all` applies all checks of one source to each of its blocks.
-    """
+    block.  `run_all` applies all checks of one source to each of its blocks."""
     source = (draw, solve)
 
     def register(check):
         def campaign(seed: int, cases: int) -> CampaignResult:
-            return _tally({name: check}, _blocks(source, np.random.default_rng(seed), cases),
-                          cases)[name]
+            return _tally({name: check}, source, seed, cases)[name]
         campaign.__name__ = campaign.__qualname__ = check.__name__
         campaign.__doc__ = check.__doc__
         campaign.blocks = lambda rng, cases: (check(*b) for b in _blocks(source, rng, cases))
@@ -131,16 +131,16 @@ def _complex_pairs(parts):
 
 
 def _residual_block(residual, scale):
-    """The largest residual / (RESIDUAL_TOL * scale) of a block and how many exceed 1."""
+    """Each case's residual / (RESIDUAL_TOL * scale) and whether it exceeds 1."""
     ratio = residual / (RESIDUAL_TOL * scale)
-    return np.max(ratio), np.sum(ratio > 1.0)
+    return ratio, ratio > 1.0
 
 
 def _excess(lhs, rhs):
-    """The largest (lhs - rhs) / slack of a block and its number of cases
-    that fail lhs <= rhs + slack, with the slack of `inequality_report`."""
+    """Each case's (lhs - rhs) / slack and whether it fails lhs <= rhs + slack,
+    with the slack of `inequality_report`."""
     slack = _slack(lhs, rhs)
-    return np.max((lhs - rhs) / slack), np.sum(~(lhs <= rhs + slack))
+    return (lhs - rhs) / slack, ~(lhs <= rhs + slack)
 
 
 def _pair_block(parts):
@@ -216,15 +216,16 @@ def _solve_tame(cols, arrays):
 def wronskian_campaign(args, u):
     """Drift of the Wronskian of phi and theta over each case's window."""
     drift, bound = _wronskian_drift(args[0], u[:, :1], u[:, 1:])
-    return np.max(drift / bound), np.sum(drift > bound)
+    return drift / bound, drift > bound
 
 
 @_campaign("solver-consistency", _tame_case, _solve_tame)
 def solver_consistency_campaign(args, u):
     """Residual of apply_L(u) = lam w u for phi and theta of each case, on
-    the solved blocks that the Wronskian check reads too."""
+    the solved blocks that the Wronskian check reads too: one entry per
+    solution, shape (2, B)."""
     ratio = _residual_ratio(*args, u)
-    return np.max(ratio), np.sum(ratio > 1.0)
+    return ratio, ratio > 1.0
 
 
 def _residual_ratio(pv, qv, wv, lam, uv):
@@ -325,8 +326,8 @@ def pointwise_bound_campaign(cols, arrays):
 
 
 def run_campaign(name: str, seed: int, cases: int) -> CampaignResult:
-    if name not in CAMPAIGNS:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(CAMPAIGNS)}")
+    if not isinstance(name, str) or name not in CAMPAIGNS:
+        raise ValidationError(f"unknown suite {name!r}; choose from {sorted(CAMPAIGNS)}")
     return CAMPAIGNS[name](seed, cases)
 
 
@@ -337,7 +338,6 @@ def run_all(seed: int, cases: int) -> list:
     shared = {}
     for source, checks in _SOURCES.items():
         if len(checks) > 1:
-            shared.update(_tally(checks, _blocks(source, np.random.default_rng(seed), cases),
-                                 cases))
+            shared.update(_tally(checks, source, seed, cases))
     return [shared[name] if name in shared else campaign(seed, cases)
             for name, campaign in CAMPAIGNS.items()]

@@ -33,6 +33,26 @@ def test_sequence_window_accessors():
     np.testing.assert_array_equal(s.window(2, 3), [20, 30])
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: Sequence(1.5, [1, 2, 3]), "offset must be an integer"),
+    (lambda: Sequence(True, [1, 2]), "offset must be an integer"),
+    (lambda: make_preset("constant", length=5.5), "length and seed must be integers"),
+    (lambda: make_preset("random", length=5, rng_seed=1.5), "length and seed must be integers"),
+    (lambda: make_preset("random", length=5, rng_seed=True), "length and seed must be integers"),
+])
+def test_index_and_count_must_be_integers(build, match):
+    with pytest.raises(ValidationError, match=match):
+        build()
+
+
+def test_numpy_integers_pass_as_index_and_count():
+    s = Sequence(np.int64(1), [1.0, 2.0])
+    assert s.offset == 1 and type(s.offset) is int
+    np.testing.assert_array_equal(s.window(2, 2), [2.0])
+    a = make_preset("random", length=np.int64(5), rng_seed=np.uint8(1))
+    assert a.p == make_preset("random", length=5, rng_seed=1).p
+
+
 def test_load_explicit_triple():
     c = load_coefficients('{"p": [1, 1, 1], "q": [0, 1, 0], "w": [1, -1]}')
     assert c.q_nontrivial

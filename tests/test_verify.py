@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -85,8 +87,8 @@ PINNED_WORST = {
     "wronskian-constancy": float.fromhex("0x1.2d09351f425fep-21"),
     "solver-consistency": float.fromhex("0x1.362042d63e109p-14"),
     "lemma1": 0.0,
-    "lemma2": 0.0,
-    "pointwise-bound": 0.0,
+    "lemma2": float.fromhex("-0x1.68bce254e0619p+39"),
+    "pointwise-bound": float.fromhex("-0x1.a5b1ae084de6bp+39"),
 }
 
 
@@ -214,19 +216,13 @@ REFERENCE_CASES = {
 }
 
 
-def reference_blocks(name, seed, cases):
-    """(largest ratio, number failed) per block of a campaign, case by case
-    through the public checks."""
+def reference_cases(name, seed, cases):
+    """(ratio, failed) of each case of a campaign through the public checks."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    for start in range(0, cases, BLOCK):
-        ratios, failed = zip(*(REFERENCE_CASES[name](rng)
-                               for _ in range(min(BLOCK, cases - start))))
-        blocks.append((max(ratios), sum(failed)))
-    return blocks
+    return [REFERENCE_CASES[name](rng) for _ in range(cases)]
 
 
-# How far a block's largest ratio may sit from the case-by-case one.  A block
+# How far a case's ratio in a block may sit from the case-by-case one.  A block
 # sums each column over its padded length, the public checks over the window
 # alone, so sums may round differently.  For the residual campaigns either
 # order errs by at most about n * eps * (sum of |terms|)
@@ -250,21 +246,46 @@ BLOCK_TOL = {
 @pytest.mark.parametrize("cases", [0, 1, BLOCK, BLOCK + 1, 37])
 def test_block_campaigns_match_case_by_case_reference(name, cases):
     seed = 101 + cases
-    want = reference_blocks(name, seed, cases)
-    got = list(CAMPAIGNS[name].blocks(np.random.default_rng(seed), cases))
-    assert [int(failed) for _, failed in got] == [failed for _, failed in want]
+    want = reference_cases(name, seed, cases)
+    got = [case for block in CAMPAIGNS[name].blocks(np.random.default_rng(seed), cases)
+           for case in zip(*block)]
+    assert [bool(failed) for _, failed in got] == [bool(failed) for _, failed in want]
     tol = {"rel": 0, "abs": 0, **BLOCK_TOL[name]}
     for (ratio, _), (ref, _) in zip(got, want):
         assert ratio == pytest.approx(ref, **tol)
     r = run_campaign(name, seed, cases)
     assert (r.cases, r.failures) == (cases, sum(failed for _, failed in want))
-    assert r.worst == max([0.0] + [float(ratio) for ratio, _ in got]) <= 1.0
+    assert r.worst == max((float(ratio) for ratio, _ in got), default=0.0) <= 1.0
 
 
 def test_empty_campaign():
     for name in ("wronskian-constancy", "solver-consistency"):
         r = run_campaign(name, 0, 0)
         assert (r.cases, r.failures, r.worst) == (0, 0, 0.0)
+
+
+@pytest.mark.parametrize("seed, cases", [
+    (0, -5), (-1, 3), (True, 3), (0, False), (1.5, 3), (0, 2.0), ("1", 3), (None, 3),
+])
+@pytest.mark.parametrize("run", [
+    lambda seed, cases: run_campaign("lemma1", seed, cases),
+    lambda seed, cases: CAMPAIGNS["solver-consistency"](seed, cases),
+    run_all,
+], ids=["run_campaign", "campaign", "run_all"])
+def test_bad_seed_or_cases_is_validation_error(run, seed, cases):
+    with pytest.raises(ValidationError, match="seed and cases must be"):
+        run(seed, cases)
+
+
+@pytest.mark.parametrize("name", ["nope", ["lemma1"], None])
+def test_unknown_suite_is_validation_error(name):
+    with pytest.raises(ValidationError, match=f"unknown suite {re.escape(repr(name))}"):
+        run_campaign(name, 0, 1)
+
+
+def test_numpy_integer_seed_and_cases_pass():
+    r = run_campaign("lemma2", np.int64(7), np.uint16(40))
+    assert r == run_campaign("lemma2", 7, 40) and type(r.cases) is int
 
 
 # -- array cores on padded blocks ----------------------------------------------
