@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeffs import Sequence
+from .coeffs import Sequence, _integer
 from .errors import WindowError
 
 __all__ = [
@@ -124,7 +124,6 @@ def greens_identity_residual(p: Sequence, u: Sequence, v: Sequence, N: int) -> f
     (p Du)(N) conj(v(N+1)) - (p Du)(0) conj(v(1)) minus
     sum D(p Du)(n-1) conj(v(n)).  Conjugation sits on the second argument.
     """
-    if N < 1:
-        raise WindowError("need N >= 1")
+    N = _integer(N, "N", 1)
     return float(_greens_identity(p.window(0, N, "p"), u.window(0, N + 1, "u"),
                                   v.window(0, N + 1, "v"), N))

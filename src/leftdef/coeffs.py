@@ -3,6 +3,10 @@
 Infinite sequences are represented by finite windows with an explicit start
 offset.  The convention throughout: p and q live on indices 0, 1, 2, ...
 (offset 0) while w lives on 1, 2, 3, ... (offset 1).
+
+`_integer` is the one rule for an integer argument (a size, seed, case count,
+N, or window index via `Sequence.require`): a bool, a non-integer or a value
+below its least is a ValidationError, and numpy integers pass.
 """
 
 from __future__ import annotations
@@ -43,9 +47,7 @@ class Sequence:
         vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64, copy=False)
         if vals.ndim != 1 or vals.size < 1:
             raise ValidationError("sequence needs at least one entry")
-        object.__setattr__(self, "offset", _integer(self.offset, "offset must be an integer"))
-        if self.offset < 0:
-            raise ValidationError("offset must be >= 0")
+        object.__setattr__(self, "offset", _integer(self.offset, "offset"))
         if not np.all(np.isfinite(vals)):
             raise ValidationError("sequence entries must be finite")
         vals.flags.writeable = False
@@ -64,7 +66,9 @@ class Sequence:
         return self.offset <= lo and hi < self.end
 
     def require(self, lo: int, hi: int, what: str = "sequence"):
-        if not self.covers(lo, hi):
+        """WindowError unless lo..hi is stored; lo and hi must be integers."""
+        if not self.covers(_integer(lo, f"{what} index", None),
+                           _integer(hi, f"{what} index", None)):
             raise WindowError(
                 f"{what} window [{self.offset}, {self.end}) does not cover {lo}..{hi}"
             )
@@ -90,15 +94,18 @@ class Sequence:
         return hash((self.offset, self.values.astype(np.complex128, copy=False).tobytes()))
 
 
-def _integer(value, error: str) -> int:
-    """value as an int, else ValidationError(error): a bool or a non-integer
-    is no index or count, while numpy integers pass."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(error)
+def _integer(value, what: str, least: int | None = 0) -> int:
+    """value as an int not below `least` (None: no bound), else a
+    ValidationError naming `what`: a bool or a non-integer is no index,
+    size, seed or count, while numpy integers pass."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is not None and not isinstance(value, bool) and (least is None or n >= least):
+        return n
+    bound = "" if least is None else f" >= {least}"
+    raise ValidationError(f"{what} must be an integer{bound}, got {value!r}")
 
 
 def _require(name: str, ok: np.ndarray, offset: int, what: str):
@@ -215,10 +222,7 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
     """
     params = {} if params is None else params
     check_preset(name, params)
-    length, rng_seed = (_integer(n, "preset length and seed must be integers")
-                        for n in (length, rng_seed))
-    if length < 2:
-        raise ValidationError("length must be >= 2")
+    length, rng_seed = _integer(length, "preset length", 2), _integer(rng_seed, "preset seed")
     n0 = np.arange(length, dtype=float)       # indices 0..length-1 for p, q
     n1 = np.arange(1, length + 1, dtype=float)  # indices 1..length for w
 
@@ -244,8 +248,6 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
             if r.shape != (2,):
                 raise ValidationError(f"random {key} must be a (lo, hi) pair")
             return r
-        if rng_seed < 0:
-            raise ValidationError(f"random preset seed must be >= 0, got {rng_seed}")
         rng = np.random.default_rng(rng_seed)
         ranges = [bounds(f"{k}_range") for k in "pqw"]
         if ranges[0][0] <= 0 or ranges[1][0] < 0:

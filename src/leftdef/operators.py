@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSet, Sequence
+from .coeffs import CoefficientSet, Sequence, _integer
 from .errors import SolverOverflowError, ValidationError, WindowError
 from .space import BoundReport, inequality_report
 
@@ -145,8 +145,7 @@ def solve_recurrence(coeffs: CoefficientSet, lam: complex, init_kind: InitKind,
     """
     if not np.isfinite(complex(lam).real) or not np.isfinite(complex(lam).imag):
         raise ValidationError("lambda must be finite")
-    if N < 1:
-        raise WindowError("need N >= 1")
+    N = _integer(N, "N", 1)
     pv, qv, wv = (coeffs.p.window(0, N, "p"), coeffs.q.window(1, N, "q"),
                   coeffs.w.window(1, N, "w"))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _at, _sum_over
-from .coeffs import CoefficientSet, Sequence, _real, _require
+from .coeffs import CoefficientSet, Sequence, _integer, _real, _require
 from .errors import NonCauchyError, ValidationError, WindowError
 
 __all__ = [
@@ -147,8 +147,7 @@ def bound_constants(coeffs: CoefficientSet, N: int) -> BoundConstants:
     C_r = (sum_{l=1}^{r} 1/p(l))^(1/2), C_N = C_r + (sum_{n=1}^{r} q(n))^(-1/2).
     Since q >= 0, r is the larger of N and the first n >= 1 with q(n) > 0.
     """
-    if N < 1:
-        raise ValidationError("need N >= 1")
+    N = _integer(N, "N", 1)
     coeffs.q.require(1, N, "q")
     r, C_r, C_N = _bound_constants(coeffs.p.values, coeffs.q.values, N)
     return BoundConstants(r=int(r), C_r=float(C_r), C_N=float(C_N))
@@ -213,6 +212,7 @@ def check_lemma2(coeffs: CoefficientSet, u: Sequence, m: int, r: int) -> BoundRe
     lhs = |u(m)| sum q; rhs = (sum q)^(1/2) (sum q|u|^2)^(1/2)
     + C_r (sum_l p|Du|^2)^(1/2) sum q, all sums over n = 1..r.
     """
+    m = _integer(m, "m", None)   # read by position, not through a window
     if not (1 <= m <= r):
         raise ValidationError("need 1 <= m <= r")
     coeffs.q.require(1, r, "q")

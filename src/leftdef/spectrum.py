@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cholesky_banded, eigh_tridiagonal, solve_banded
 
-from .coeffs import CoefficientSet
-from .errors import InertiaError, SolverOverflowError, ValidationError, WindowError
+from .coeffs import CoefficientSet, _integer
+from .errors import InertiaError, SolverOverflowError, ValidationError
 from .operators import InitKind, solve_recurrence
 
 __all__ = [
@@ -77,8 +77,7 @@ class SpectralResult:
 
 def finite_section(coeffs: CoefficientSet, N: int) -> FiniteSection:
     """Assemble the N-by-N Dirichlet section matrices."""
-    if N < 1:
-        raise WindowError("need N >= 1")
+    N = _integer(N, "N", 1)
     pv = coeffs.p.window(0, N, "p")
     qv = coeffs.q.window(1, N, "q")
     wv = coeffs.w.window(1, N, "w")
@@ -251,7 +250,7 @@ def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None
     fs = finite_section(coeffs, N)
     a, b, keep, elim = _eliminate_zero_weights(fs)
     if keep.size == 0:
-        return SpectralResult(eigenvalues=[], method="pencil", no_finite_count=N)
+        return SpectralResult(eigenvalues=[], method="pencil", no_finite_count=fs.N)
     w = fs.W_diag[fs.W_diag != 0]
     s = 1.0 / np.sqrt(np.abs(w))
     J = np.sign(w)
@@ -275,7 +274,7 @@ def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None
     V = solve_banded((0, 1), np.array([np.insert(sub, 0, 0.0), c]), Y,
                      overwrite_b=True, check_finite=False)
     V *= s[:, None]
-    U = V if keep.size == N else _fill_zero_weights(N, keep, elim, V)
+    U = V if keep.size == fs.N else _fill_zero_weights(fs.N, keep, elim, V)
 
     with np.errstate(over="ignore", invalid="ignore"):
         R = fs.apply_L(U)
@@ -287,4 +286,5 @@ def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None
     inside = (((-np.inf if lambda_min is None else lambda_min) < lam)
               & (lam <= (np.inf if lambda_max is None else lambda_max)))
     return SpectralResult(eigenvalues=lam[inside].tolist(), method="pencil",
-                          residuals=residuals[inside].tolist(), no_finite_count=N - keep.size)
+                          residuals=residuals[inside].tolist(),
+                          no_finite_count=fs.N - keep.size)

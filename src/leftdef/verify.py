@@ -85,9 +85,7 @@ def _tally(checks: dict, source, seed: int, cases: int) -> dict:
     mapping whose checks map every block of `source`, see `_blocks`, to the
     per-case arrays (ratio, failed).  A campaign counts the failed entries
     and reports the largest ratio, or 0.0 when there are no cases."""
-    seed, cases = (_integer(n, "seed and cases must be integers") for n in (seed, cases))
-    if seed < 0 or cases < 0:
-        raise ValidationError(f"seed and cases must be >= 0, got {seed} and {cases}")
+    seed, cases = _integer(seed, "seed"), _integer(cases, "cases")
     worst, failures = dict.fromkeys(checks, -np.inf), dict.fromkeys(checks, 0)
     for block in _blocks(source, np.random.default_rng(seed), cases):
         for name, check in checks.items():

@@ -161,6 +161,16 @@ def test_config_error_missing_init(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("init, message", [
+    (("--u0", "0", "--u1", "1", "--pdu0", "2"), "give either --u0/--u1 or --u1/--pdu0, not both"),
+    (("--pdu0", "2"), "--pdu0 needs --u1"),
+], ids=["both", "pdu0-alone"])
+def test_conflicting_initial_data_is_config_error(capsys, init, message):
+    status, out, err = run_cli(
+        capsys, "solve", "--preset", "constant:p=1", "--lambda", "0", "--n", "3", *init)
+    assert (status, out, err) == (2, "", f"config-error: {message}\n")
+
+
 @pytest.mark.parametrize("preset", ["constant:p=abc", "nosuch"])
 def test_bad_preset_is_config_error(capsys, preset):
     status, out, err = run_cli(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,9 +37,19 @@ def test_sequence_window_accessors():
 @pytest.mark.parametrize("build, match", [
     (lambda: Sequence(1.5, [1, 2, 3]), "offset must be an integer"),
     (lambda: Sequence(True, [1, 2]), "offset must be an integer"),
-    (lambda: make_preset("constant", length=5.5), "length and seed must be integers"),
-    (lambda: make_preset("random", length=5, rng_seed=1.5), "length and seed must be integers"),
-    (lambda: make_preset("random", length=5, rng_seed=True), "length and seed must be integers"),
+    pytest.param(lambda: make_preset("constant", length=5.5),
+                 "preset length must be an integer >= 2, got 5.5", id="length-5.5"),
+    pytest.param(lambda: make_preset("random", length=5, rng_seed=1.5),
+                 "preset seed must be an integer >= 0, got 1.5", id="seed-1.5"),
+    pytest.param(lambda: make_preset("random", length=5, rng_seed=True),
+                 "preset seed must be an integer >= 0, got True", id="seed-True"),
+    pytest.param(lambda: Sequence(-1, [1, 2]), "offset must be an integer >= 0, got -1",
+                 id="offset--1"),
+    pytest.param(lambda: make_preset("power", length=1),
+                 "preset length must be an integer >= 2, got 1", id="length-1"),
+    pytest.param(lambda: make_preset("periodic", length=np.float64(4)),
+                 "preset length must be an integer >= 2, got " + re.escape(repr(np.float64(4))),
+                 id="length-float64"),
 ])
 def test_index_and_count_must_be_integers(build, match):
     with pytest.raises(ValidationError, match=match):
@@ -84,8 +95,11 @@ def test_preset_document():
 
 
 def test_preset_document_negative_seed():
-    with pytest.raises(ValidationError, match="seed must be >= 0"):
-        load_coefficients(json.dumps({"preset": {"name": "random", "seed": -1}}))
+    for name in PRESETS:
+        with pytest.raises(ValidationError, match="preset seed must be an integer >= 0, got -1"):
+            load_coefficients(json.dumps({"preset": {"name": name, "seed": -1}}))
+        with pytest.raises(ValidationError, match="preset seed must be an integer >= 0, got -7"):
+            make_preset(name, length=4, rng_seed=-7)
 
 
 def test_make_preset_constant():
@@ -133,22 +147,36 @@ def test_make_preset_rejects_unknown_parameter(name, params, key):
 
 @pytest.mark.parametrize("doc, match", [
     ({"preset": {"name": "constant", "params": {"p": [1, 2]}}}, "constant p is not a number"),
-    ({"preset": {"name": "random", "length": None}}, "length and seed must be integers"),
-    ({"preset": {"name": "random", "seed": "x"}}, "length and seed must be integers"),
+    ({"preset": {"name": "random", "length": None}},
+     "preset length must be an integer >= 2, got None"),
+    ({"preset": {"name": "random", "seed": "x"}},
+     "preset seed must be an integer >= 0, got 'x'"),
     ({"p": {"a": 1}, "q": [0, 0, 0], "w": [1, 1, 1]}, "p is not numeric"),
     ({"preset": {"name": "periodic", "params": {"w": {"a": 1}}}}, "periodic w is not numeric"),
     ({"preset": {"name": "random", "params": {"q_range": ["a", 1]}}}, "random q_range"),
     ({"preset": {"name": "constant", "params": [1, 2]}}, "params must be an object"),
     ({"preset": {"name": ["constant"]}}, "unknown preset"),
-    ({"preset": {"name": "random", "length": 12.7}}, "length and seed must be integers"),
-    ({"preset": {"name": "random", "seed": 3.9}}, "length and seed must be integers"),
-    ({"preset": {"name": "random", "length": "12"}}, "length and seed must be integers"),
-    ({"preset": {"name": "random", "length": True}}, "length and seed must be integers"),
-    ({"preset": {"name": "random", "seed": False}}, "length and seed must be integers"),
+    ({"preset": {"name": "random", "length": 12.7}},
+     "preset length must be an integer >= 2, got 12.7"),
+    ({"preset": {"name": "random", "seed": 3.9}},
+     "preset seed must be an integer >= 0, got 3.9"),
+    ({"preset": {"name": "random", "length": "12"}},
+     "preset length must be an integer >= 2, got '12'"),
+    ({"preset": {"name": "random", "length": True}},
+     "preset length must be an integer >= 2, got True"),
+    ({"preset": {"name": "random", "seed": False}},
+     "preset seed must be an integer >= 0, got False"),
     ({"preset": {"name": "constant"}, "p": [1, 1], "q": [0, 0], "w": [1]},
      "a preset document takes preset, not 'p'"),
     ({"p": [1, 1], "q": [0, 0], "w": [1], "wx": [2]}, "takes p, q, w, not 'wx'"),
     ({"preset": {"name": "random", "lenght": 4}}, "a preset entry takes .*, not 'lenght'"),
+    ({"preset": {"name": "periodic", "seed": -2}}, "preset seed must be an integer >= 0, got -2"),
+    ({"preset": {"name": "constant", "length": 0}},
+     "preset length must be an integer >= 2, got 0"),
+    ([1, 2], "coefficient document must be a JSON object"),
+    ({"preset": {"length": 4}}, "preset entry needs a 'name'"),
+    ({"p": [], "q": [0], "w": [1]}, "p must be a non-empty 1-d array"),
+    ({"p": [1, 1], "q": [[0, 0]], "w": [1]}, "q must be a non-empty 1-d array"),
 ])
 def test_malformed_document_is_validation_error(doc, match):
     with pytest.raises(ValidationError, match=match):

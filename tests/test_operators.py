@@ -9,9 +9,14 @@ from leftdef import (
     ValidationError,
     WindowError,
     apply_L,
+    bound_constants,
+    cauchy_diagnostics,
     finite_section,
     greens_identity_residual,
+    h1_inner,
+    h1_norm,
     make_preset,
+    product_rule_residual,
     recurrence,
     solve_recurrence,
     wronskian,
@@ -255,8 +260,29 @@ def short_residual_ratio():
     (lambda: greens_identity_residual(Sequence(0, np.ones(6)), Sequence(0, np.ones(7)),
                                       Sequence(0, np.ones(4)), 5),
      r"v window \[0, 4\) does not cover 0\.\.6"),
+    (lambda: bound_constants(CoefficientSet(Sequence(0, np.ones(3)), Sequence(0, np.eye(6)[5]),
+                                            Sequence(1, np.ones(5))), 2),
+     r"p window \[0, 3\) does not cover 1\.\.5"),
+    (lambda: apply_L(coeffs_of(6, 6, 5), Sequence(1, np.ones(5))), "u must start at index 0"),
+    (lambda: wronskian_sequence(coeffs_of(9, 9, 8), Sequence(0, np.ones(3)),
+                                Sequence(5, np.ones(3))), "no shared window for the Wronskian"),
+    (lambda: product_rule_residual(Sequence(0, [1.0]), Sequence(0, [2.0])),
+     "product rule needs length >= 2"),
+    (lambda: h1_inner(coeffs_of(6, 6, 5), Sequence(1, np.ones(4)), Sequence(1, np.ones(4))),
+     "inner product expects offset-0 sequences"),
+    (lambda: h1_inner(coeffs_of(6, 6, 5), Sequence(0, np.ones(4)), Sequence(0, np.ones(5))),
+     "inner product expects equal lengths"),
+    (lambda: h1_norm(coeffs_of(6, 6, 5), Sequence(0, [1.0])), "inner product needs length >= 2"),
+    (lambda: cauchy_diagnostics(coeffs_of(6, 6, 5), [Sequence(0, np.ones(4)),
+                                                     Sequence(0, np.ones(5)),
+                                                     Sequence(0, np.ones(4))]),
+     "family members must share the window"),
+    (lambda: Sequence(0, np.ones(4)).at(np.int64(-1)),
+     r"sequence window \[0, 4\) does not cover -1\.\.-1"),
 ], ids=["finite_section", "solve_recurrence", "wronskian", "solution_residual_ratio",
-        "greens_identity_residual"])
+        "greens_identity_residual", "bound_constants", "apply_L", "wronskian_sequence",
+        "product_rule_residual", "h1_inner-offset", "h1_inner-lengths", "h1_norm",
+        "cauchy_diagnostics", "negative-index"])
 def test_window_error_names_the_short_sequence(call, message):
     with pytest.raises(WindowError, match=f"^{message}$"):
         call()

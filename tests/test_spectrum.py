@@ -346,6 +346,14 @@ def test_pencil_matches_dense_generalized_eig(instance):
     assert np.all(np.abs(shoot - ev) <= 1e-8 * np.maximum(1.0, np.abs(ev)))
 
 
+def test_underflowing_section_raises_inertia_error():
+    # |W|^-1/2 L |W|^-1/2 has entries near 1e-400, which underflow to 0.
+    c = CoefficientSet(Sequence(0, np.full(4, 1e-200)), Sequence(0, np.zeros(4)),
+                       Sequence(1, np.full(3, 1e200)))
+    with pytest.raises(InertiaError, match="^L is not numerically positive definite$"):
+        eigen_pencil(c, 3)
+
+
 def test_pencil_inertia_violation_raises(monkeypatch):
     def flipped(d, e):
         lam, Y = scipy.linalg.eigh_tridiagonal(d, e)

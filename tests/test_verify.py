@@ -266,6 +266,7 @@ def test_empty_campaign():
 
 @pytest.mark.parametrize("seed, cases", [
     (0, -5), (-1, 3), (True, 3), (0, False), (1.5, 3), (0, 2.0), ("1", 3), (None, 3),
+    (np.int64(-2), 3), (0, np.float64(4)),
 ])
 @pytest.mark.parametrize("run", [
     lambda seed, cases: run_campaign("lemma1", seed, cases),
@@ -273,7 +274,10 @@ def test_empty_campaign():
     run_all,
 ], ids=["run_campaign", "campaign", "run_all"])
 def test_bad_seed_or_cases_is_validation_error(run, seed, cases):
-    with pytest.raises(ValidationError, match="seed and cases must be"):
+    # Each case breaks one argument: the seed unless it is the valid 0.
+    what, value = ("cases", cases) if seed == 0 else ("seed", seed)
+    with pytest.raises(ValidationError,
+                       match=f"^{what} must be an integer >= 0, got {re.escape(repr(value))}$"):
         run(seed, cases)
 
 

@@ -6,8 +6,11 @@ One line per call gives its arguments and its result: floats as `float.hex`,
 complex numbers as a pair of them, arrays as dtype, shape and the SHA-256 of
 their bytes, dataclasses field by field, and a raised error as its type and
 message.  The calls cover `verify.run_all`, the per-block (largest ratio,
-number failed) of each campaign's ``blocks``, and the public functions of
-`calculus`, `space`, `operators` and `spectrum` on seeded instances.  Run it on
+number failed) of each campaign's ``blocks``, the public functions of
+`calculus`, `space`, `operators` and `spectrum` on seeded instances, and
+invalid integer arguments: a non-integer, bool or below-range N for every
+function that takes one, a 1.5 index through each window read, and a
+negative seed for each preset.  Run it on
 two source trees and `diff` the snapshots: equal lines mean bit-identical
 results.  See `tools/cli_snapshot.py` for the same over the CLI.
 """
@@ -47,6 +50,7 @@ from leftdef import (
     wronskian_constancy_report,
     wronskian_sequence,
 )
+from leftdef.coeffs import PRESETS
 from leftdef.space import inequality_report
 from leftdef.verify import CAMPAIGNS, run_all
 
@@ -198,6 +202,37 @@ def spectrum() -> None:
                        lambda: eigen_pencil(c, N, *window))
 
 
+def invalid_arguments() -> None:
+    c = make_preset("random", length=12, rng_seed=4)
+    u, v = Sequence(0, np.linspace(-1.0, 2.0, 12)), Sequence(0, np.cos(np.arange(12.0)))
+    takes_N = {
+        "finite_section": lambda N: finite_section(c, N),
+        "eigen_pencil": lambda N: eigen_pencil(c, N),
+        "eigen_shooting": lambda N: eigen_shooting(c, N),
+        "shooting_range": lambda N: shooting_range(c, N),
+        "shooting_function": lambda N: shooting_function(c, 0.75, N),
+        "solve_recurrence": lambda N: solution(
+            solve_recurrence(c, 0.5, InitKind.VALUE_PAIR, 0.0, 1.0, N)),
+        "bound_constants": lambda N: bound_constants(c, N),
+        "greens_identity_residual": lambda N: greens_identity_residual(c.p, u, v, N),
+    }
+    for name, call in takes_N.items():
+        for N in (2.5, np.float64(3), True, "3", 0, -1):
+            record(f"{name}(N={N!r})", lambda: call(N))
+    for label, call in {
+        "wronskian(n=1.5)": lambda: wronskian_value(wronskian(c, u, v, 1.5)),
+        "check_lemma1(n=1.5)": lambda: check_lemma1(c.p, u, 1.5, 3),
+        "check_lemma2(m=1.5)": lambda: check_lemma2(c, u, 1.5, 3),
+        "check_pointwise_bound(m=1.5)": lambda: check_pointwise_bound(c, u, 1.5, 3),
+        "summation_by_parts_residual(j=1.5)": lambda: summation_by_parts_residual(u, v, 1.5, 3),
+        "Sequence.at(1.5)": lambda: u.at(1.5),
+    }.items():
+        record(label, call)
+    for name in PRESETS:
+        record(f"make_preset({name!r}, length=4, rng_seed=-7)",
+               lambda: make_preset(name, length=4, rng_seed=-7))
+
+
 def snapshot() -> None:
     rng = np.random.default_rng(2015)
     campaigns()
@@ -205,6 +240,7 @@ def snapshot() -> None:
     space(rng)
     operators(rng)
     spectrum()
+    invalid_arguments()
 
 
 if __name__ == "__main__":
