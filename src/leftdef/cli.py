@@ -9,6 +9,7 @@ as ``[re, im]``.  Both read back to the same doubles.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -231,7 +232,9 @@ def cmd_spectrum(args):
     } for r in results], "k," + ",".join(r.method for r in results), rows)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="leftdef",
         description="Left-definite discrete Sturm-Liouville toolkit",
@@ -251,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="apply the operator L to a sequence")
     p.add_argument("--u", required=True, help="comma-separated values, offset 0")
     add_common(p)
-    p.set_defaults(fn=cmd_apply)
 
     p = sub.add_parser("solve", help="solve the recurrence L u = lambda w u")
     p.add_argument("--lambda", dest="lam", required=True)
@@ -260,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pdu0", help="(p Du)(0) for the quasi-derivative initialization")
     p.add_argument("--n", type=int, required=True, help="solve up to index n+1")
     add_common(p)
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("wronskian", help="Wronskian of two recurrence solutions")
     p.add_argument("--lambda", dest="lam", required=True)
@@ -270,24 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1", default="1")
     p.add_argument("--n", type=int, required=True)
     add_common(p)
-    p.set_defaults(fn=cmd_wronskian)
 
     p = sub.add_parser("norm", help="left-definite and l2 norms of a sequence")
     p.add_argument("--u", required=True)
     add_common(p)
-    p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("bounds", help="bound constants r, C_r, C_N")
     p.add_argument("--n", type=int, required=True)
     add_common(p)
-    p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("verify", help="run seeded verification campaigns")
     p.add_argument("--suite", default="all", choices=["all"] + sorted(CAMPAIGNS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
     add_common(p, coeffs=False)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("spectrum", help="finite-section eigenvalues")
     p.add_argument("--n", type=int, required=True)
@@ -296,16 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-12)
     add_common(p)
-    p.set_defaults(fn=cmd_spectrum)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The command is looked up by name on each call, so the cached parser
+    # holds no function that a wrapper or a test double could replace.
+    fn = globals()[f"cmd_{args.command}"]
     try:
-        status = args.fn(args)
+        status = fn(args)
     except SystemExit2 as exc:
         print(f"config-error: {exc}", file=sys.stderr)
         return 2

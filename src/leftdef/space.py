@@ -255,8 +255,11 @@ def cauchy_diagnostics(coeffs: CoefficientSet, family, threshold: float = 1e-8,
 
     The last family member serves as the limit proxy (no extrapolation).
     Raises NonCauchyError unless the norm distances to the proxy are
-    non-increasing and end below the threshold.
+    non-increasing and end below the threshold, and ValidationError for a
+    NaN threshold, which no comparison can fail.
     """
+    if np.isnan(threshold):
+        raise ValidationError("threshold must not be NaN")
     family = list(family)
     if len(family) < 2:
         raise ValidationError("family needs at least two members")

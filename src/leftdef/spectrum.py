@@ -4,13 +4,14 @@ The section truncates to indices 1..N with u(0) = u(N+1) = 0, which makes L
 a symmetric positive-definite tridiagonal matrix (p > 0, q >= 0) while the
 diagonal weight W may be indefinite.  Two independent solvers cross-validate.
 Shooting counts the sign changes of the recurrence solution u(0) = 0,
-u(1) = 1, which are the negative pivots of L - lambda W, and bisects for each
-eigenvalue by its index in that count (Sylvester's law of inertia gives the
-range: #(w > 0) positive and #(w < 0) negative eigenvalues).  The congruence
-keeps the pencil in tridiagonal storage: the rows with w = 0 are removed by a
-Schur complement, T = |W|^-1/2 L |W|^-1/2 is factored as C C^T with C
-bidiagonal, and the symmetric tridiagonal C^T J C, J = sign(w), has the
-pencil's eigenvalues.
+u(1) = 1, which are the negative pivots of L - lambda W, and finds each
+eigenvalue by its index in that count by multisection, which counts several
+points of every bracket in one vectorized call per pass (Sylvester's law of
+inertia gives the range: #(w > 0) positive and #(w < 0) negative
+eigenvalues).  The congruence keeps the pencil in tridiagonal storage: the
+rows with w = 0 are removed by a Schur complement, T = |W|^-1/2 L |W|^-1/2
+is factored as C C^T with C bidiagonal, and the symmetric tridiagonal
+C^T J C, J = sign(w), has the pencil's eigenvalues.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class SpectralResult:
     """Sorted real eigenvalues with per-method diagnostics.
 
     ``residuals`` (pencil) are ||L u - lambda W u|| / ||u||; ``brackets``
-    (shooting) are the final bisection intervals (lo, hi), one per eigenvalue.
+    (shooting) are the final multisection brackets (lo, hi), one per eigenvalue.
     """
 
     eigenvalues: list
@@ -121,24 +122,42 @@ def _sturm_count(fs: FiniteSection, lams) -> np.ndarray:
     return np.where(lams >= 0, cnt, -cnt)
 
 
+# Points per multisection pass: each of the m active brackets gets the
+# largest odd K <= _WIDTH / m, so a small section fills one wide vector and
+# more than _WIDTH / 3 active brackets are halved (K = 1).
+_WIDTH = 512
+
+
+def _inertia(fs: FiniteSection) -> tuple:
+    """(-#(w < 0), #(w > 0)): the signed counts beyond every eigenvalue."""
+    return -int(np.sum(fs.W_diag < 0)), int(np.sum(fs.W_diag > 0))
+
+
+def _range(fs: FiniteSection) -> tuple:
+    """`shooting_range` of a built section."""
+    target = _inertia(fs)
+    for k in (np.arange(64), np.arange(64, 1024)):
+        B = np.ldexp(1.0, k)
+        neg, pos = _sturm_count(fs, np.concatenate([-B, B])).reshape(2, -1)
+        hit = np.flatnonzero((neg == target[0]) & (pos == target[1]))
+        if hit.size:
+            B = float(B[hit[0]])
+            return (-B, B)
+    raise SolverOverflowError("an eigenvalue lies beyond the float range")
+
+
 def shooting_range(coeffs: CoefficientSet, N: int) -> tuple:
     """A symmetric lambda range containing every finite section eigenvalue.
 
     L is positive definite, so by Sylvester's law of inertia the pencil has
     exactly #(w > 0) positive and #(w < 0) negative finite eigenvalues.  B
-    is doubled from 1 until the signed counts at -B and B reach -#(w < 0)
-    and #(w > 0); zero weights only add infinite eigenvalues, which no
-    count sees.
-    Raises SolverOverflowError when B overflows before the counts are met.
+    is the least power of two 1, 2, 4, ... at which the signed counts at -B
+    and B reach -#(w < 0) and #(w > 0), with 2^0..2^63 counted in one pass
+    and 2^64..2^1023 in a second only when needed; zero weights only add
+    infinite eigenvalues, which no count sees.
+    Raises SolverOverflowError when no finite power of two meets the counts.
     """
-    fs = finite_section(coeffs, N)
-    target = [-int(np.sum(fs.W_diag < 0)), int(np.sum(fs.W_diag > 0))]
-    B = 1.0
-    while _sturm_count(fs, [-B, B]).tolist() != target:
-        B *= 2.0
-        if not np.isfinite(B):
-            raise SolverOverflowError("an eigenvalue lies beyond the float range")
-    return (-B, B)
+    return _range(finite_section(coeffs, N))
 
 
 def _check_window(lambda_min, lambda_max):
@@ -151,26 +170,32 @@ def _check_window(lambda_min, lambda_max):
 def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = None,
                    lambda_max: float | None = None,
                    tol: float = 1e-12) -> SpectralResult:
-    """Every eigenvalue in (lambda_min, lambda_max], by Sturm bisection on its index.
+    """Every eigenvalue in (lambda_min, lambda_max], by Sturm multisection on its index.
 
     The window is `eigen_pencil`'s.  With G(lam) the number of eigenvalues
     in (lambda_min, lam], read from the sign changes of the shooting
     solution, the i-th eigenvalue is the least lam with G(lam) >= i.  Each
-    i = 1..G(lambda_max) starts from the whole window, and all of them are
-    halved together until the width is at most tol * max(1, |lambda|), as
-    in LAPACK dstebz.  A missing end starts at `shooting_range`, whose
-    counts are -#(w < 0) and #(w > 0); a given end beyond the spectrum
-    leaves no index.  ``brackets`` holds the final [lo, hi] of each
-    eigenvalue.
+    i = 1..G(lambda_max) starts from the whole window [lo, hi] with
+    G(lo) < i <= G(hi), as in LAPACK dstebz.  Each pass splits every active
+    bracket at K evenly spaced points, the exact midpoint among them, all
+    counted in one call (Lo, Philippe and Sameh 1987); the new bracket is
+    the first point whose count reaches i and the point before it.  K is
+    the largest odd number <= 512 / (active brackets), so more than 170
+    active brackets are bisected (K = 1).  A bracket stops when its width
+    is at most tol * max(1, |midpoint|) or no float lies strictly inside.
+    A missing end starts at `shooting_range`, whose counts are -#(w < 0)
+    and #(w > 0); a given end beyond the spectrum leaves no index.
+    ``brackets`` holds the final [lo, hi] of each eigenvalue.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError("need finite tol > 0")
     _check_window(lambda_min, lambda_max)
-    start = shooting_range(coeffs, N) if lambda_min is None or lambda_max is None else None
     fs = finite_section(coeffs, N)
+    start = _range(fs) if lambda_min is None or lambda_max is None else None
     # A missing end lies beyond every eigenvalue, where inertia gives the count.
-    base = -np.sum(fs.W_diag < 0) if lambda_min is None else _sturm_count(fs, lambda_min)[0]
-    top = np.sum(fs.W_diag > 0) if lambda_max is None else _sturm_count(fs, lambda_max)[0]
+    neg, pos = _inertia(fs)
+    base = neg if lambda_min is None else _sturm_count(fs, lambda_min)[0]
+    top = pos if lambda_max is None else _sturm_count(fs, lambda_max)[0]
     index = np.arange(1, top - base + 1)
     lo = np.full(index.size, start[0] if lambda_min is None else float(lambda_min))
     hi = np.full(index.size, start[1] if lambda_max is None else float(lambda_max))
@@ -181,9 +206,19 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
                              & (lo < mid) & (mid < hi))
         if act.size == 0:
             break
-        left = _sturm_count(fs, mid[act]) - base >= index[act]
-        hi[act] = np.where(left, mid[act], hi[act])
-        lo[act] = np.where(left, lo[act], mid[act])
+        a, m, b = lo[act, None], mid[act, None], hi[act, None]
+        # h points on each side of the midpoint, offset from it so that none
+        # leaves [lo, hi]: the row [lo, points..., hi] ascends.
+        h = max(_WIDTH // act.size - 1, 0) // 2
+        step = np.arange(1, h + 1) / (h + 1)
+        row = np.hstack([a, m - (m - a) * step[::-1], m, m + (b - m) * step, b])
+        # One flat count: numpy's loops run slower on an (m, K) array.
+        count = _sturm_count(fs, row[:, 1:-1].ravel()).reshape(act.size, -1)
+        reach = count - base >= index[act, None]
+        # The first point whose count reaches i, or hi when none does.
+        first = np.where(reach.any(axis=1), reach.argmax(axis=1), 2 * h + 1)
+        r = np.arange(act.size)
+        lo[act], hi[act] = row[r, first], row[r, first + 1]
     return SpectralResult(eigenvalues=(0.5 * (lo + hi)).tolist(), method="shooting",
                           brackets=list(zip(lo.tolist(), hi.tolist())))
 

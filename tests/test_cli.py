@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from leftdef import cli
 from leftdef import spectrum as spec_mod
 from leftdef.cli import main, parse_preset
 from leftdef.coeffs import Sequence, make_preset
@@ -29,6 +30,26 @@ def test_parse_preset_grammar():
     assert parse_preset("random") == ("random", {})
     with pytest.raises(ValueError):
         parse_preset("constant:p")
+
+
+def test_cached_parser_matches_fresh_parsers(capsys):
+    # One parser serves every command of a process: no option value or
+    # default of one subcommand may leak into the next.
+    commands = [
+        ("verify", "--suite", "lemma1", "--cases", "3", "--format", "json"),
+        ("spectrum", "--preset", "random", "--seed", "3", "--n", "5"),
+        ("bounds", "--preset", "constant:p=1,q=1,w=1", "--n", "6", "--format", "json"),
+        ("spectrum", "--preset", "constant:p=1,q=0,w=1", "--n", "4", "--method", "pencil"),
+        ("verify", "--cases", "-1"),
+    ]
+    cached = [run_cli(capsys, *argv) for argv in commands]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in commands:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cached == fresh
+    assert [status for status, _, _ in cached] == [0, 0, 0, 0, 2]
 
 
 def test_solve_linear_solution(capsys):

@@ -315,6 +315,12 @@ class TestCauchyDiagnostics:
         scale = max(1.0, float(np.max(np.abs(d.weighted_limit.values))))
         assert np.all(resid <= 1e-9 * scale)
 
+    def test_nan_threshold_rejected(self):
+        L = 20
+        fam = [Sequence(0, np.full(L, 1.0 + 1.0 / n)) for n in range(1, 4)]
+        with pytest.raises(ValidationError, match="threshold must not be NaN"):
+            cauchy_diagnostics(self._coeffs(L), fam, threshold=np.nan)
+
     def test_non_cauchy_family_rejected(self):
         L = 20
         c = self._coeffs(L)

@@ -363,3 +363,108 @@ def test_pencil_inertia_violation_raises(monkeypatch):
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", flipped)
     with pytest.raises(InertiaError):
         eigen_pencil(c, 8)
+
+
+def reference_range(c, N):
+    """`shooting_range` as a doubling loop: B = 1, 2, 4, ... one count at a time."""
+    fs = finite_section(c, N)
+    target = [-int(np.sum(fs.W_diag < 0)), int(np.sum(fs.W_diag > 0))]
+    B = 1.0
+    while spectrum._sturm_count(fs, [-B, B]).tolist() != target:
+        B *= 2.0
+        if not np.isfinite(B):
+            raise SolverOverflowError("an eigenvalue lies beyond the float range")
+    return (-B, B)
+
+
+def reference_bisection(c, N, lambda_min=None, lambda_max=None, tol=1e-12):
+    """`eigen_shooting` with one point per bracket: (eigenvalues, brackets)."""
+    fs = finite_section(c, N)
+    start = reference_range(c, N) if lambda_min is None or lambda_max is None else None
+    base = (-np.sum(fs.W_diag < 0) if lambda_min is None
+            else spectrum._sturm_count(fs, lambda_min)[0])
+    top = np.sum(fs.W_diag > 0) if lambda_max is None else spectrum._sturm_count(fs, lambda_max)[0]
+    index = np.arange(1, top - base + 1)
+    lo = np.full(index.size, start[0] if lambda_min is None else float(lambda_min))
+    hi = np.full(index.size, start[1] if lambda_max is None else float(lambda_max))
+    while True:
+        mid = 0.5 * (lo + hi)
+        act = np.flatnonzero((hi - lo > tol * np.maximum(1.0, np.abs(mid)))
+                             & (lo < mid) & (mid < hi))
+        if act.size == 0:
+            break
+        left = spectrum._sturm_count(fs, mid[act]) - base >= index[act]
+        hi[act] = np.where(left, mid[act], hi[act])
+        lo[act] = np.where(left, lo[act], mid[act])
+    return (0.5 * (lo + hi)).tolist(), list(zip(lo.tolist(), hi.tolist()))
+
+
+# Two mirror halves joined by p(4) = 1e-10: eigenvalues come in close pairs.
+CLUSTER = explicit([1.0, -2.0, 1.5, 0.7, 0.7, 1.5, -2.0, 1.0],
+                   p=np.array([1.0, 1.5, 2.0, 1.2, 1e-10, 1.2, 2.0, 1.5, 1.0]),
+                   q=np.full(9, 0.3))
+WINDOWS = [(None, None), (None, 0.5), (-0.5, None), (-3.0, 2.0)]
+
+
+@given(pencils(), st.sampled_from(WINDOWS), st.sampled_from([1e-12, 1e-6, 1e-30]))
+@settings(max_examples=200, deadline=None)
+@example(CLUSTER, (None, None), 1e-12)
+@example(CLUSTER, (None, None), 1e-30)
+@example(explicit([0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 0.0, 3.0, 0.0]), (None, None), 1e-30)
+@example(explicit([0.0]), (None, None), 1e-12)
+def test_multisection_brackets_keep_the_dstebz_invariant(instance, window, tol):
+    # Each bracket of index i has G(lo) < i <= G(hi), and it stops at the
+    # width or when no float lies strictly inside.
+    c, N = instance
+    fs = finite_section(c, N)
+    res = eigen_shooting(c, N, *window, tol=tol)
+    base = (-np.sum(fs.W_diag < 0) if window[0] is None
+            else spectrum._sturm_count(fs, window[0])[0])
+    top = np.sum(fs.W_diag > 0) if window[1] is None else spectrum._sturm_count(fs, window[1])[0]
+    assert len(res.brackets) == len(res.eigenvalues) == top - base
+    if not res.brackets:
+        return
+    lo, hi = map(np.array, zip(*res.brackets))
+    index = np.arange(1, lo.size + 1)
+    assert np.all(spectrum._sturm_count(fs, lo) - base < index)
+    assert np.all(index <= spectrum._sturm_count(fs, hi) - base)
+    mid = 0.5 * (lo + hi)
+    assert np.all((hi - lo <= tol * np.maximum(1.0, np.abs(mid)))
+                  | (np.nextafter(lo, np.inf) >= hi))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_point_per_bracket_is_bisection(monkeypatch, seed):
+    # With a vector width of 1 every pass has K = 1: bit for bit the halving loop.
+    rng = np.random.default_rng(seed)
+    c, N = indefinite_coeffs(rng, 24), 24
+    if seed % 2:
+        w = c.w.values.real.copy()
+        w[rng.choice(N, 5, replace=False)] = 0.0
+        c = CoefficientSet(p=c.p, q=c.q, w=Sequence(1, w))
+    monkeypatch.setattr(spectrum, "_WIDTH", 1)
+    for window in WINDOWS:
+        for tol in (1e-12, 1e-30):
+            res = eigen_shooting(c, N, *window, tol=tol)
+            eigenvalues, brackets = reference_bisection(c, N, *window, tol=tol)
+            assert res.eigenvalues == eigenvalues
+            assert res.brackets == brackets
+
+
+@pytest.mark.parametrize("w", [[1.0, 1e-300, -1.0], [1e-30, -2.0, 3.0, 0.0]])
+def test_shooting_range_matches_doubling_loop(w):
+    # B is the same power of two, also past the first chunk 2^0..2^63:
+    # the 1e-300 weight needs B near 2^1000.
+    c, N = explicit(w)
+    assert shooting_range(c, N) == reference_range(c, N)
+    rng = np.random.default_rng(22)
+    for N in (1, 5, 17, 40):
+        c = indefinite_coeffs(rng, N)
+        assert shooting_range(c, N) == reference_range(c, N)
+
+
+def test_shooting_range_overflow_matches_doubling_loop():
+    c, N = explicit([1.0, 5e-324, -1.0])
+    for solver in (shooting_range, reference_range):
+        with pytest.raises(SolverOverflowError, match="beyond the float range"):
+            solver(c, N)
