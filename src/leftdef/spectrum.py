@@ -4,14 +4,15 @@ The section truncates to indices 1..N with u(0) = u(N+1) = 0, which makes L
 a symmetric positive-definite tridiagonal matrix (p > 0, q >= 0) while the
 diagonal weight W may be indefinite.  Two independent solvers cross-validate.
 Shooting counts the sign changes of the recurrence solution u(0) = 0,
-u(1) = 1, which are the negative pivots of L - lambda W, and finds each
-eigenvalue by its index in that count by multisection, which counts several
-points of every bracket in one vectorized call per pass (Sylvester's law of
-inertia gives the range: #(w > 0) positive and #(w < 0) negative
-eigenvalues).  The congruence keeps the pencil in tridiagonal storage: the
-rows with w = 0 are removed by a Schur complement, T = |W|^-1/2 L |W|^-1/2
-is factored as C C^T with C bidiagonal, and the symmetric tridiagonal
-C^T J C, J = sign(w), has the pencil's eigenvalues.
+u(1) = 1, which are the negative pivots of L - lambda W, as a signed count G
+(Sylvester's law of inertia gives the range: #(w > 0) positive and #(w < 0)
+negative eigenvalues), and finds each eigenvalue by its index in G by
+multisection on one sorted set of counted points, from which each bracket
+is read: each pass counts several points of every distinct bracket in one
+vectorized call.  The congruence keeps the pencil in tridiagonal storage:
+the rows with w = 0 are removed by a Schur complement, T = |W|^-1/2 L
+|W|^-1/2 is factored as C C^T with C bidiagonal, and the symmetric
+tridiagonal C^T J C, J = sign(w), has the pencil's eigenvalues.
 """
 
 from __future__ import annotations
@@ -44,13 +45,6 @@ class FiniteSection:
     L_diag: np.ndarray      # p(n-1) + p(n) + q(n), n = 1..N
     L_offdiag: np.ndarray   # -p(n), n = 1..N-1
     W_diag: np.ndarray      # w(n), n = 1..N
-
-    def L_matrix(self) -> np.ndarray:
-        L = np.diag(self.L_diag)
-        idx = np.arange(self.N - 1)
-        L[idx, idx + 1] = self.L_offdiag
-        L[idx + 1, idx] = self.L_offdiag
-        return L
 
     def apply_L(self, u: np.ndarray) -> np.ndarray:
         """L u for a length-N vector, or column by column for an N-by-m matrix."""
@@ -122,9 +116,9 @@ def _sturm_count(fs: FiniteSection, lams) -> np.ndarray:
     return np.where(lams >= 0, cnt, -cnt)
 
 
-# Points per multisection pass: each of the m active brackets gets the
-# largest odd K <= _WIDTH / m, so a small section fills one wide vector and
-# more than _WIDTH / 3 active brackets are halved (K = 1).
+# Points per multisection pass: each of the m distinct active brackets gets
+# the largest odd K <= _WIDTH / m, so a small section fills one wide vector
+# and more than _WIDTH / 3 distinct active brackets are halved (K = 1).
 _WIDTH = 512
 
 
@@ -172,54 +166,57 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
                    tol: float = 1e-12) -> SpectralResult:
     """Every eigenvalue in (lambda_min, lambda_max], by Sturm multisection on its index.
 
-    The window is `eigen_pencil`'s.  With G(lam) the number of eigenvalues
-    in (lambda_min, lam], read from the sign changes of the shooting
-    solution, the i-th eigenvalue is the least lam with G(lam) >= i.  Each
-    i = 1..G(lambda_max) starts from the whole window [lo, hi] with
-    G(lo) < i <= G(hi), as in LAPACK dstebz.  Each pass splits every active
-    bracket at K evenly spaced points, the exact midpoint among them, all
-    counted in one call (Lo, Philippe and Sameh 1987); the new bracket is
-    the first point whose count reaches i and the point before it.  K is
-    the largest odd number <= 512 / (active brackets), so more than 170
-    active brackets are bisected (K = 1).  A bracket stops when its width
-    is at most tol * max(1, |midpoint|) or no float lies strictly inside.
-    A missing end starts at `shooting_range`, whose counts are -#(w < 0)
-    and #(w > 0); a given end beyond the spectrum leaves no index.
-    ``brackets`` holds the final [lo, hi] of each eigenvalue.
+    The window is `eigen_pencil`'s.  With G the signed count `_sturm_count`,
+    the eigenvalue of index i = G(lo) + 1 .. G(hi), [lo, hi] the window, is
+    the least lam with G(lam) >= i.  The only state is a set of counted
+    points in ascending order with their counts, starting from the window
+    ends counted in one call.  The bracket of index i is the first point
+    whose count reaches i and the point before it, so G(lo) < i <= G(hi)
+    holds by construction, as in LAPACK dstebz, and indices that share a
+    bracket share its points.  Each pass puts K evenly spaced points, the
+    exact midpoint among them, into every distinct active bracket and counts
+    them all in one call (Lo, Philippe and Sameh 1987); K is the largest odd
+    number <= 512 / (distinct active brackets).  Brackets only shrink, so a
+    pass keeps just the window ends and the bracket ends.  A bracket stops
+    when its width is at most tol * max(1, |midpoint|) or no float lies
+    strictly inside.  A missing end starts at `shooting_range`, whose counts
+    are -#(w < 0) and #(w > 0); a given end beyond the spectrum leaves no
+    index.  ``brackets`` holds the final [lo, hi] of each eigenvalue.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError("need finite tol > 0")
     _check_window(lambda_min, lambda_max)
     fs = finite_section(coeffs, N)
-    start = _range(fs) if lambda_min is None or lambda_max is None else None
-    # A missing end lies beyond every eigenvalue, where inertia gives the count.
-    neg, pos = _inertia(fs)
-    base = neg if lambda_min is None else _sturm_count(fs, lambda_min)[0]
-    top = pos if lambda_max is None else _sturm_count(fs, lambda_max)[0]
-    index = np.arange(1, top - base + 1)
-    lo = np.full(index.size, start[0] if lambda_min is None else float(lambda_min))
-    hi = np.full(index.size, start[1] if lambda_max is None else float(lambda_max))
+    start = _range(fs) if lambda_min is None or lambda_max is None else (None, None)
+    x = np.array([start[0] if lambda_min is None else lambda_min,
+                  start[1] if lambda_max is None else lambda_max], dtype=float)
+    g = _sturm_count(fs, x)
     while True:
-        mid = 0.5 * (lo + hi)
+        # Each rise of the running maximum of g ends a bracket that starts one point before.
+        rise = np.diff(np.maximum.accumulate(g)) > 0
+        lo, hi = x[:-1][rise], x[1:][rise]
+        # Halves, so that neither the midpoint nor the width overflows.
+        mid = 0.5 * lo + 0.5 * hi
         # Stop at the width, or when no float lies strictly inside.
-        act = np.flatnonzero((hi - lo > tol * np.maximum(1.0, np.abs(mid)))
-                             & (lo < mid) & (mid < hi))
-        if act.size == 0:
+        act = ((0.5 * hi - 0.5 * lo > 0.5 * tol * np.maximum(1.0, np.abs(mid)))
+               & (lo < mid) & (mid < hi))
+        if not act.any():
             break
         a, m, b = lo[act, None], mid[act, None], hi[act, None]
-        # h points on each side of the midpoint, offset from it so that none
-        # leaves [lo, hi]: the row [lo, points..., hi] ascends.
-        h = max(_WIDTH // act.size - 1, 0) // 2
+        # h points on each side of the midpoint, none of them outside [a, b].
+        h = max(_WIDTH // a.size - 1, 0) // 2
         step = np.arange(1, h + 1) / (h + 1)
-        row = np.hstack([a, m - (m - a) * step[::-1], m, m + (b - m) * step, b])
-        # One flat count: numpy's loops run slower on an (m, K) array.
-        count = _sturm_count(fs, row[:, 1:-1].ravel()).reshape(act.size, -1)
-        reach = count - base >= index[act, None]
-        # The first point whose count reaches i, or hi when none does.
-        first = np.where(reach.any(axis=1), reach.argmax(axis=1), 2 * h + 1)
-        r = np.arange(act.size)
-        lo[act], hi[act] = row[r, first], row[r, first + 1]
-    return SpectralResult(eigenvalues=(0.5 * (lo + hi)).tolist(), method="shooting",
+        new = np.hstack([m - (m - a) * step[::-1], m, m + (b - m) * step]).ravel()
+        # Brackets only shrink: keep just the window ends and the bracket ends.
+        keep = np.concatenate([[True], rise]) | np.concatenate([rise, [True]])
+        x = np.concatenate([x[keep], new])
+        g = np.concatenate([g[keep], _sturm_count(fs, new)])
+        order = np.argsort(x)
+        x, g = x[order], g[order]
+    # The bracket of index i: the first point whose count reaches i, and the one before.
+    j = np.searchsorted(np.maximum.accumulate(g), np.arange(g[0] + 1, g[-1] + 1))
+    lo, hi = x[j - 1], x[j]
+    return SpectralResult(eigenvalues=(0.5 * lo + 0.5 * hi).tolist(), method="shooting",
                           brackets=list(zip(lo.tolist(), hi.tolist())))
 
 
@@ -302,10 +299,9 @@ def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None
     diag = c * c * J
     diag[:-1] += sub * sub * J[1:]
     lam, Y = eigh_tridiagonal(diag, sub * J[1:] * c[1:])
-    inertia = (int(np.sum(lam > 0)), int(np.sum(lam < 0)))
-    signs = (int(np.sum(w > 0)), int(np.sum(w < 0)))
-    if inertia != signs:
-        raise InertiaError(f"pencil inertia {inertia} != signs of w {signs}")
+    inertia = (-int(np.sum(lam < 0)), int(np.sum(lam > 0)))
+    if inertia != _inertia(fs):
+        raise InertiaError(f"pencil inertia {inertia} != signs of w {_inertia(fs)}")
     V = solve_banded((0, 1), np.array([np.insert(sub, 0, 0.0), c]), Y,
                      overwrite_b=True, check_finite=False)
     V *= s[:, None]

@@ -31,6 +31,11 @@ def closed_form(N):
     return 4 * np.sin(k * np.pi / (2 * (N + 1))) ** 2
 
 
+def dense_L(fs):
+    """The section's L as a dense matrix, for the dense oracles."""
+    return np.diag(fs.L_diag) + np.diag(fs.L_offdiag, 1) + np.diag(fs.L_offdiag, -1)
+
+
 def indefinite_coeffs(rng, N):
     """Random section coefficients with |w| bounded away from 0, both signs."""
     signs = rng.choice([-1.0, 1.0], N + 1)
@@ -72,7 +77,7 @@ class TestFiniteSection:
     def test_L_positive_definite(self):
         c = make_preset("random", length=34, rng_seed=14)
         fs = finite_section(c, 32)
-        scipy.linalg.cholesky(fs.L_matrix())  # raises if not positive definite
+        scipy.linalg.cholesky(dense_L(fs))  # raises if not positive definite
 
 
 class TestShooting:
@@ -141,6 +146,14 @@ class TestShooting:
         with pytest.raises(ValidationError):
             eigen_shooting(c, 4, hi + 1.0, hi)
 
+    def test_eigenvalue_near_the_float_limit(self):
+        # The eigenvalue is about 2 / 2.5e-308 = 8e307: (lo + hi) / 2 of the
+        # window overflows, lo / 2 + hi / 2 does not.
+        c, N = explicit([1.0, 2.5e-308, -1.0])
+        res = eigen_shooting(c, N, 7e307, 1.7e308)
+        assert len(res.eigenvalues) == 1
+        assert res.eigenvalues[0] == pytest.approx(2.0 / 2.5e-308, rel=1e-12)
+
     def test_brackets_hold_their_eigenvalues(self):
         c = indefinite_coeffs(np.random.default_rng(20), 12)
         res = eigen_shooting(c, 12)
@@ -181,7 +194,7 @@ class TestPencil:
         assert len(res.eigenvalues) == 2
         # brute-force 3x3 generalized eigenproblem as independent oracle
         fs = finite_section(c, 3)
-        vals = scipy.linalg.eig(fs.L_matrix(), np.diag(fs.W_diag))[0]
+        vals = scipy.linalg.eig(dense_L(fs), np.diag(fs.W_diag))[0]
         finite = sorted(v.real for v in vals if np.isfinite(v))
         np.testing.assert_allclose(res.eigenvalues, finite, atol=1e-10)
 
@@ -321,7 +334,7 @@ def test_pencil_matches_dense_generalized_eig(instance):
     w = fs.W_diag
     nzero = int(np.sum(w == 0))
     # The N - nzero smallest |alpha/beta| of the QZ oracle are the finite ones.
-    vals = scipy.linalg.eig(fs.L_matrix(), np.diag(w), right=False)
+    vals = scipy.linalg.eig(dense_L(fs), np.diag(w), right=False)
     vals = vals[np.argsort(np.where(np.isfinite(vals), np.abs(vals), np.inf))]
     ref = np.sort(vals[:N - nzero].real)
     if not np.all(np.isfinite(ref)):
@@ -412,6 +425,8 @@ WINDOWS = [(None, None), (None, 0.5), (-0.5, None), (-3.0, 2.0)]
 @example(CLUSTER, (None, None), 1e-30)
 @example(explicit([0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 0.0, 3.0, 0.0]), (None, None), 1e-30)
 @example(explicit([0.0]), (None, None), 1e-12)
+# A window wider than the float range: its width overflows, its half-width does not.
+@example(CLUSTER, (-1.7e308, 1.7e308), 1e-12)
 def test_multisection_brackets_keep_the_dstebz_invariant(instance, window, tol):
     # Each bracket of index i has G(lo) < i <= G(hi), and it stops at the
     # width or when no float lies strictly inside.
@@ -449,6 +464,35 @@ def test_one_point_per_bracket_is_bisection(monkeypatch, seed):
             eigenvalues, brackets = reference_bisection(c, N, *window, tol=tol)
             assert res.eigenvalues == eigenvalues
             assert res.brackets == brackets
+
+
+def test_no_multisection_point_is_counted_twice(monkeypatch):
+    # Indices that share a bracket share its points, so after the range and
+    # the start count, the passes of one solve count each point once: on the
+    # criterion-9 family at N = 32, with and without zero weights.
+    count, find_range, calls = spectrum._sturm_count, spectrum._range, []
+
+    def recorded(fs, lams):
+        calls.append(np.atleast_1d(lams))
+        return count(fs, lams)
+
+    def range_not_recorded(fs):
+        start = find_range(fs)
+        calls.clear()
+        return start
+
+    monkeypatch.setattr(spectrum, "_sturm_count", recorded)
+    monkeypatch.setattr(spectrum, "_range", range_not_recorded)
+    rng = np.random.default_rng(42)
+    for k in range(100):
+        c = indefinite_coeffs(rng, 32)
+        if k % 4 == 0:
+            w = c.w.values.real.copy()
+            w[rng.choice(32, 5, replace=False)] = 0.0
+            c = CoefficientSet(p=c.p, q=c.q, w=Sequence(1, w))
+        eigen_shooting(c, 32)
+        points = np.concatenate(calls[1:])
+        assert np.unique(points).size == points.size
 
 
 @pytest.mark.parametrize("w", [[1.0, 1e-300, -1.0], [1e-30, -2.0, 3.0, 0.0]])
