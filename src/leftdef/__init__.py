@@ -20,6 +20,7 @@ from .coeffs import (
     serialize_coefficients,
 )
 from .errors import (
+    DisagreementError,
     InertiaError,
     LeftDefError,
     NonCauchyError,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import spectrum as spec_mod
 from .coeffs import Sequence, check_preset, load_coefficients, make_preset
-from .errors import LeftDefError
+from .errors import DisagreementError, LeftDefError
 from .operators import (
     InitKind,
     apply_L,
@@ -209,14 +209,37 @@ def cmd_verify(args):
     return 0 if total_failures == 0 else 1
 
 
+def _check_agreement(shooting, pencil):
+    """Equal-length columns agree elementwise to 1e-8 * max(1, |shooting|), else
+    DisagreementError.  Columns of unequal length are not compared: an
+    eigenvalue on a window end can fall on either side of it in either method."""
+    s, p = np.array(shooting.eigenvalues), np.array(pencil.eigenvalues)
+    if s.size != p.size:
+        return
+    gap = np.abs(p - s) / np.maximum(1.0, np.abs(s))
+    bad = np.flatnonzero(gap > 1e-8)
+    if bad.size:
+        k = bad[0]
+        raise DisagreementError(
+            f"row {k + 1}: pencil {p[k]:.17g} and shooting {s[k]:.17g} differ by "
+            f"{gap[k]:.3g} relative to max(1, |shooting|), more than 1e-8")
+
+
 def cmd_spectrum(args):
     coeffs = _coeffs_from_args(args)
-    results = []
-    if args.method in ("shooting", "both"):
-        results.append(spec_mod.eigen_shooting(
-            coeffs, args.n, args.lambda_min, args.lambda_max, tol=args.tol))
+    section = (coeffs, args.n, args.lambda_min, args.lambda_max)
+    shooting = pencil = None
     if args.method in ("pencil", "both"):
-        results.append(spec_mod.eigen_pencil(coeffs, args.n, args.lambda_min, args.lambda_max))
+        pencil = spec_mod.eigen_pencil(*section)
+    if args.method in ("shooting", "both"):
+        # The pencil's eigenvalues are certified by counts, never trusted: an
+        # index whose counts confirm its guess starts from a bracket narrower
+        # than tol, and the others from the window.
+        shooting = spec_mod.eigen_shooting(
+            *section, tol=args.tol, guesses=() if pencil is None else pencil.eigenvalues)
+    if shooting is not None and pencil is not None:
+        _check_agreement(shooting, pencil)
+    results = [r for r in (shooting, pencil) if r is not None]
 
     def rows():
         # a method that found fewer eigenvalues leaves its cells empty

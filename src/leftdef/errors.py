@@ -23,3 +23,7 @@ class NonCauchyError(LeftDefError, ValueError):
 
 class InertiaError(LeftDefError, ArithmeticError):
     """A computed spectrum contradicts Sylvester's law of inertia for the pencil."""
+
+
+class DisagreementError(LeftDefError, ArithmeticError):
+    """Two independent solvers return eigenvalues that break their agreement contract."""

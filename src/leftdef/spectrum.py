@@ -9,10 +9,12 @@ u(1) = 1, which are the negative pivots of L - lambda W, as a signed count G
 negative eigenvalues), and finds each eigenvalue by its index in G by
 multisection on one sorted set of counted points, from which each bracket
 is read: each pass counts several points of every distinct bracket in one
-vectorized call.  The congruence keeps the pencil in tridiagonal storage:
-the rows with w = 0 are removed by a Schur complement, T = |W|^-1/2 L
-|W|^-1/2 is factored as C C^T with C bidiagonal, and the symmetric
-tridiagonal C^T J C, J = sign(w), has the pencil's eigenvalues.
+vectorized call.  Guesses, such as the pencil's eigenvalues, are certified
+by counts, never trusted: the counts just below and above a guess confirm
+its index or leave it to the passes.  The congruence keeps the pencil in
+tridiagonal storage: the rows with w = 0 are removed by a Schur complement,
+T = |W|^-1/2 L |W|^-1/2 is factored as C C^T with C bidiagonal, and the
+symmetric tridiagonal C^T J C, J = sign(w), has the pencil's eigenvalues.
 """
 
 from __future__ import annotations
@@ -127,16 +129,26 @@ def _inertia(fs: FiniteSection) -> tuple:
     return -int(np.sum(fs.W_diag < 0)), int(np.sum(fs.W_diag > 0))
 
 
-def _range(fs: FiniteSection) -> tuple:
-    """`shooting_range` of a built section."""
-    target = _inertia(fs)
+def _range(fs: FiniteSection, need=(True, True)) -> tuple:
+    """`shooting_range` of a built section; ``need`` names the sides, (-B, B), that count.
+
+    B is `shooting_range`'s whenever both signed counts reach the inertia at a
+    finite power of two.  Otherwise, with one side not needed, it is the least
+    power of two at which the needed side reaches its count, so an eigenvalue
+    beyond the float range on the other side of zero stops no one-sided window.
+    """
+    target = np.array(_inertia(fs))[:, None]
+    own = []
     for k in (np.arange(64), np.arange(64, 1024)):
         B = np.ldexp(1.0, k)
-        neg, pos = _sturm_count(fs, np.concatenate([-B, B])).reshape(2, -1)
-        hit = np.flatnonzero((neg == target[0]) & (pos == target[1]))
+        reach = _sturm_count(fs, np.concatenate([-B, B])).reshape(2, -1) == target
+        hit = np.flatnonzero(reach.all(axis=0))
         if hit.size:
             B = float(B[hit[0]])
             return (-B, B)
+        own += B[reach[list(need)].all(axis=0)].tolist()
+    if own:
+        return (-own[0], own[0])
     raise SolverOverflowError("an eigenvalue lies beyond the float range")
 
 
@@ -162,8 +174,8 @@ def _check_window(lambda_min, lambda_max):
 
 
 def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = None,
-                   lambda_max: float | None = None,
-                   tol: float = 1e-12) -> SpectralResult:
+                   lambda_max: float | None = None, tol: float = 1e-12, *,
+                   guesses=()) -> SpectralResult:
     """Every eigenvalue in (lambda_min, lambda_max], by Sturm multisection on its index.
 
     The window is `eigen_pencil`'s.  With G the signed count `_sturm_count`,
@@ -180,16 +192,35 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
     pass keeps just the window ends and the bracket ends.  A bracket stops
     when its width is at most tol * max(1, |midpoint|) or no float lies
     strictly inside.  A missing end starts at `shooting_range`, whose counts
-    are -#(w < 0) and #(w > 0); a given end beyond the spectrum leaves no
-    index.  ``brackets`` holds the final [lo, hi] of each eigenvalue.
+    are -#(w < 0) and #(w > 0), or, when only the other side of zero holds
+    an eigenvalue beyond the float range, at the least power of two whose
+    own count reaches the inertia; a given end beyond the spectrum leaves
+    no index.  ``brackets`` holds the final [lo, hi] of each eigenvalue.
+
+    ``guesses`` (finite, for example `eigen_pencil`'s eigenvalues) are
+    certified by counts, never trusted: each guess g strictly inside the
+    window adds the points g - d and g + d, d = tol/4 * max(1, |g|), to the
+    first count, next to the window ends.  Where G(g - d) < i <= G(g + d),
+    the bracket of index i is already narrower than the stop width and takes
+    no pass; a wrong, missing or duplicate guess only leaves its indices to
+    the passes.  Every answer still comes from the counts alone; without
+    guesses the first count holds the two window ends only.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError("need finite tol > 0")
+    guesses = np.asarray(guesses, dtype=float).ravel()
+    if not np.all(np.isfinite(guesses)):
+        raise ValidationError("need finite guesses")
     _check_window(lambda_min, lambda_max)
     fs = finite_section(coeffs, N)
-    start = _range(fs) if lambda_min is None or lambda_max is None else (None, None)
+    need = (lambda_min is None, lambda_max is None)
+    start = _range(fs, need) if any(need) else (None, None)
     x = np.array([start[0] if lambda_min is None else lambda_min,
                   start[1] if lambda_max is None else lambda_max], dtype=float)
+    inside = guesses[(x[0] < guesses) & (guesses < x[1])]
+    d = 0.25 * tol * np.maximum(1.0, np.abs(inside))
+    near = np.concatenate([inside - d, inside + d])
+    x = np.concatenate([x[:1], np.unique(near[(x[0] < near) & (near < x[1])]), x[1:]])
     g = _sturm_count(fs, x)
     while True:
         # Each rise of the running maximum of g ends a bracket that starts one point before.

@@ -281,6 +281,24 @@ def test_spectrum_tiny_weight_exits_1(tmp_path, capsys):
         assert err.startswith("error: SolverOverflowError")
 
 
+def test_spectrum_both_exits_1_when_the_methods_disagree(tmp_path, capsys):
+    # The congruence loses this spectrum without overflowing: the pencil
+    # returns -1.2329 on row 1 where the counts give -2.5863, and 1.0710 on
+    # row 3 where they give 0.30003.  Shooting alone answers.
+    doc = tmp_path / "c.json"
+    doc.write_text(json.dumps({"p": [1] * 8, "q": [0] * 8,
+                               "w": [1, -1, 1e-16, 2, -0.5, 1e-16, 1]}))
+    argv = ("spectrum", "--coeffs", str(doc), "--n", "7")
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: DisagreementError: row 1: pencil -1.232921784495")
+    assert "shooting -2.58627305745" in err and "more than 1e-8" in err
+    status, out, _ = run_cli(capsys, *argv, "--method", "shooting")
+    assert status == 0
+    assert float(csv_table(out)[1][2][1]) == pytest.approx(0.30002754750318, rel=1e-12)
+
+
 @pytest.mark.parametrize("method", ["shooting", "pencil", "both"])
 def test_spectrum_one_sided_window_beyond_range(capsys, method):
     common = ("spectrum", "--preset", "constant:p=1,q=0,w=1", "--n", "4",
@@ -528,8 +546,10 @@ def test_wronskian_round_trip(capsys):
 
 
 def test_spectrum_both_round_trip(capsys):
+    # Shooting starts from the pencil's eigenvalues and certifies them by counts.
     c = random_coeffs()
-    want = [spec_mod.eigen_shooting(c, 12), spec_mod.eigen_pencil(c, 12)]
+    pencil = spec_mod.eigen_pencil(c, 12)
+    want = [spec_mod.eigen_shooting(c, 12, guesses=pencil.eigenvalues), pencil]
     argv = ("spectrum", *RANDOM, "--n", "12", "--method", "both")
 
     status, out, _ = run_cli(capsys, *argv)
@@ -551,9 +571,11 @@ def test_spectrum_both_round_trip(capsys):
 
 @pytest.mark.parametrize("short, empty", [("eigen_shooting", 0), ("eigen_pencil", 1)])
 def test_spectrum_csv_pads_shorter_column(capsys, monkeypatch, short, empty):
-    solver = getattr(spec_mod, short)
+    # Columns of unequal length are padded, not compared.
+    solver, calls = getattr(spec_mod, short), []
 
     def one_fewer(*args, **kwargs):
+        calls.append(kwargs)
         r = solver(*args, **kwargs)
         return dataclasses.replace(r, eigenvalues=r.eigenvalues[:-1])
 
@@ -561,6 +583,7 @@ def test_spectrum_csv_pads_shorter_column(capsys, monkeypatch, short, empty):
     status, out, _ = run_cli(capsys, "spectrum", "--preset", "constant:p=1,q=0,w=1",
                              "--n", "4", "--method", "both")
     assert status == 0
+    assert len(calls) == 1
     header, rows = csv_table(out)
     assert header == "k,shooting,pencil"
     assert [len(row) for row in rows] == [3] * 4

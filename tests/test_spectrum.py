@@ -146,6 +146,18 @@ class TestShooting:
         with pytest.raises(ValidationError):
             eigen_shooting(c, 4, hi + 1.0, hi)
 
+    def test_one_sided_window_needs_only_its_own_side(self):
+        # The positive eigenvalue near 2 / 1.2e-308 lies beyond every finite
+        # power of two, so no B reaches both inertia counts; the window below
+        # 0 needs only -B, and answers as the two-sided window does.
+        c, N = explicit([1.0, 1.2e-308, -1.0])
+        below = eigen_shooting(c, N, lambda_max=0.0)
+        assert below == eigen_shooting(c, N, -2.0, 0.0)
+        assert below.eigenvalues == [pytest.approx(-np.sqrt(2.0), rel=1e-12)]
+        for window in ({}, {"lambda_min": 0.0}):
+            with pytest.raises(SolverOverflowError, match="beyond the float range"):
+                eigen_shooting(c, N, **window)
+
     def test_eigenvalue_near_the_float_limit(self):
         # The eigenvalue is about 2 / 2.5e-308 = 8e307: (lo + hi) / 2 of the
         # window overflows, lo / 2 + hi / 2 does not.
@@ -170,6 +182,11 @@ class TestShooting:
             eigen_shooting(c, 4, 0.0, 1.0, tol=0.0)
         with pytest.raises(ValidationError):
             eigen_shooting(c, 4, 0.0, np.inf)
+
+    @pytest.mark.parametrize("guess", [np.nan, np.inf, -np.inf])
+    def test_non_finite_guess_rejected(self, guess):
+        with pytest.raises(ValidationError, match="need finite guesses"):
+            eigen_shooting(free_laplacian(), 4, guesses=[1.0, guess])
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("window", [(None, None), (0.0, 4.1), (None, 2.0)])
@@ -419,20 +436,43 @@ CLUSTER = explicit([1.0, -2.0, 1.5, 0.7, 0.7, 1.5, -2.0, 1.0],
 WINDOWS = [(None, None), (None, 0.5), (-0.5, None), (-3.0, 2.0)]
 
 
-@given(pencils(), st.sampled_from(WINDOWS), st.sampled_from([1e-12, 1e-6, 1e-30]))
+# Guesses as a recipe: the pencil's eigenvalues moved by a relative shift of
+# alternating sign (None: left out), other values, and whether all come twice.
+GUESSES = st.tuples(
+    st.sampled_from([None, 0.0, 1e-15, 1e-13, 1e-9, 1e-3, 0.5]),
+    st.lists(st.one_of(st.floats(-10.0, 10.0),
+                       st.sampled_from([-1.7e308, -1e3, -3.0, -0.5, 0.0, 0.5, 2.0, 1e3, 1.7e308])),
+             max_size=6),
+    st.booleans())
+PENCIL = (0.0, [], False)
+
+
+def guess_values(c, N, recipe):
+    shift, extra, twice = recipe
+    guesses = list(extra)
+    if shift is not None:
+        ev = np.asarray(eigen_pencil(c, N).eigenvalues)
+        guesses += (ev * (1.0 + shift * (-1.0) ** np.arange(ev.size))).tolist()
+    return guesses * 2 if twice else guesses
+
+
+@given(pencils(), st.sampled_from(WINDOWS), st.sampled_from([1e-12, 1e-6, 1e-30]), GUESSES)
 @settings(max_examples=200, deadline=None)
-@example(CLUSTER, (None, None), 1e-12)
-@example(CLUSTER, (None, None), 1e-30)
-@example(explicit([0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 0.0, 3.0, 0.0]), (None, None), 1e-30)
-@example(explicit([0.0]), (None, None), 1e-12)
+@example(CLUSTER, (None, None), 1e-12, PENCIL)
+@example(CLUSTER, (None, None), 1e-30, (1e-13, [0.0, 1.7e308], True))
+@example(explicit([0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 0.0, 3.0, 0.0]), (None, None), 1e-30,
+         PENCIL)
+@example(explicit([0.0]), (None, None), 1e-12, (None, [1.0], False))
 # A window wider than the float range: its width overflows, its half-width does not.
-@example(CLUSTER, (-1.7e308, 1.7e308), 1e-12)
-def test_multisection_brackets_keep_the_dstebz_invariant(instance, window, tol):
+@example(CLUSTER, (-1.7e308, 1.7e308), 1e-12, (1e-9, [-1e300, 1e300], True))
+def test_multisection_brackets_keep_the_dstebz_invariant(instance, window, tol, recipe):
     # Each bracket of index i has G(lo) < i <= G(hi), and it stops at the
-    # width or when no float lies strictly inside.
+    # width or when no float lies strictly inside.  Guesses (right, wrong,
+    # outside the window or repeated) only add counted points, so the answer
+    # stays within tol of the solve without them.
     c, N = instance
     fs = finite_section(c, N)
-    res = eigen_shooting(c, N, *window, tol=tol)
+    res = eigen_shooting(c, N, *window, tol=tol, guesses=guess_values(c, N, recipe))
     base = (-np.sum(fs.W_diag < 0) if window[0] is None
             else spectrum._sturm_count(fs, window[0])[0])
     top = np.sum(fs.W_diag > 0) if window[1] is None else spectrum._sturm_count(fs, window[1])[0]
@@ -446,6 +486,11 @@ def test_multisection_brackets_keep_the_dstebz_invariant(instance, window, tol):
     mid = 0.5 * (lo + hi)
     assert np.all((hi - lo <= tol * np.maximum(1.0, np.abs(mid)))
                   | (np.nextafter(lo, np.inf) >= hi))
+    # Below the float spacing the counts themselves round, so two brackets of
+    # adjacent floats may lie a few ulps apart (3 eps in 1,500 draws).
+    cold = np.asarray(eigen_shooting(c, N, *window, tol=tol).eigenvalues)
+    assert np.all(np.abs(np.asarray(res.eigenvalues) - cold)
+                  <= max(tol, 16 * np.finfo(float).eps) * np.maximum(1.0, np.abs(cold)))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -476,8 +521,8 @@ def test_no_multisection_point_is_counted_twice(monkeypatch):
         calls.append(np.atleast_1d(lams))
         return count(fs, lams)
 
-    def range_not_recorded(fs):
-        start = find_range(fs)
+    def range_not_recorded(fs, *need):
+        start = find_range(fs, *need)
         calls.clear()
         return start
 
@@ -493,6 +538,40 @@ def test_no_multisection_point_is_counted_twice(monkeypatch):
         eigen_shooting(c, 32)
         points = np.concatenate(calls[1:])
         assert np.unique(points).size == points.size
+
+
+def test_pencil_guesses_need_one_count_after_the_range(monkeypatch):
+    # On the criterion-9 family at N = 32, with and without zero weights, the
+    # counts at the pencil's eigenvalues +- tol/4 certify every index, so a
+    # solve makes the range call and one count, and no pass.  The pencil's
+    # wrong values on the tiny-weight case are not certified: their indices
+    # take passes, and row 3 is shooting's 0.30003, not the pencil's 1.0710.
+    count, calls = spectrum._sturm_count, []
+
+    def recorded(fs, lams):
+        calls.append(np.atleast_1d(lams))
+        return count(fs, lams)
+
+    monkeypatch.setattr(spectrum, "_sturm_count", recorded)
+    rng = np.random.default_rng(42)
+    for k in range(100):
+        c = indefinite_coeffs(rng, 32)
+        if k % 4 == 0:
+            w = c.w.values.real.copy()
+            w[rng.choice(32, 5, replace=False)] = 0.0
+            c = CoefficientSet(p=c.p, q=c.q, w=Sequence(1, w))
+        guesses = eigen_pencil(c, 32).eigenvalues
+        calls.clear()
+        res = eigen_shooting(c, 32, guesses=guesses)
+        assert len(calls) == 2
+        assert len(res.eigenvalues) == len(guesses)
+    c, N = explicit([1.0, -1.0, 1e-16, 2.0, -0.5, 1e-16, 1.0])
+    guesses = eigen_pencil(c, N).eigenvalues
+    assert guesses[2] == pytest.approx(1.0709887937131, rel=1e-12)
+    calls.clear()
+    res = eigen_shooting(c, N, guesses=guesses)
+    assert len(calls) > 2
+    assert res.eigenvalues[2] == pytest.approx(0.30002754750318, rel=1e-12)
 
 
 @pytest.mark.parametrize("w", [[1.0, 1e-300, -1.0], [1e-30, -2.0, 3.0, 0.0]])

@@ -7,7 +7,8 @@ complex numbers as a pair of them, arrays as dtype, shape and the SHA-256 of
 their bytes, dataclasses field by field, and a raised error as its type and
 message.  The calls cover `verify.run_all`, the per-block (largest ratio,
 number failed) of each campaign's ``blocks``, the public functions of
-`calculus`, `space`, `operators` and `spectrum` on seeded instances, and
+`calculus`, `space`, `operators` and `spectrum` on seeded instances (shooting
+also with the pencil's eigenvalues as guesses), and
 invalid integer arguments: a non-integer, bool or below-range N for every
 function that takes one, a 1.5 index through each window read, and a
 negative seed for each preset.  Run it on
@@ -200,6 +201,9 @@ def spectrum() -> None:
                        lambda: eigen_shooting(c, N, *window))
                 record(f"eigen_pencil({label}, {N}, {window})",
                        lambda: eigen_pencil(c, N, *window))
+                record(f"eigen_shooting({label}, {N}, {window}, guesses=pencil)",
+                       lambda: eigen_shooting(c, N, *window,
+                                              guesses=eigen_pencil(c, N, *window).eigenvalues))
 
 
 def invalid_arguments() -> None:

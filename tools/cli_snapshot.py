@@ -31,6 +31,9 @@ def commands(tmp: Path):
     zero_w = tmp / "zero-w.json"
     zero_w.write_text(json.dumps({"preset": {"name": "periodic",
                                              "params": {"w": [1, 0, -2]}, "length": 10}}))
+    tiny_w = tmp / "tiny-w.json"
+    tiny_w.write_text(json.dumps({"p": [1] * 8, "q": [0] * 8,
+                                  "w": [1, -1, 1e-16, 2, -0.5, 1e-16, 1]}))
     long_window = ("--preset", "periodic:p=1,q=0.5,w=1", "--length", "2000")
     yield from [
         # the README commands
@@ -70,6 +73,7 @@ def commands(tmp: Path):
         # errors
         ("solve", *CONST, "--lambda", "abc", "--u0", "0", "--u1", "1", "--n", "3"),
         ("spectrum", "--preset", "constant:p=-1", "--n", "3"),
+        ("spectrum", "--coeffs", str(tiny_w), "--n", "7", "--method", "both"),
         ("verify", "--seed", "-1"),
     ]
 
