@@ -209,20 +209,22 @@ def cmd_verify(args):
     return 0 if total_failures == 0 else 1
 
 
-def _check_agreement(shooting, pencil):
-    """Equal-length columns agree elementwise to 1e-8 * max(1, |shooting|), else
-    DisagreementError.  Columns of unequal length are not compared: an
-    eigenvalue on a window end can fall on either side of it in either method."""
+def _check_agreement(shooting, pencil, tol):
+    """Equal-length columns agree elementwise to max(1e-8, tol) * max(1, |shooting|),
+    else DisagreementError: shooting is only as close as its stop width tol.
+    Columns of unequal length are not compared: an eigenvalue on a window end
+    can fall on either side of it in either method."""
     s, p = np.array(shooting.eigenvalues), np.array(pencil.eigenvalues)
     if s.size != p.size:
         return
+    bound = max(1e-8, tol)
     gap = np.abs(p - s) / np.maximum(1.0, np.abs(s))
-    bad = np.flatnonzero(gap > 1e-8)
+    bad = np.flatnonzero(gap > bound)
     if bad.size:
         k = bad[0]
         raise DisagreementError(
             f"row {k + 1}: pencil {p[k]:.17g} and shooting {s[k]:.17g} differ by "
-            f"{gap[k]:.3g} relative to max(1, |shooting|), more than 1e-8")
+            f"{gap[k]:.3g} relative to max(1, |shooting|), more than {bound:.3g}")
 
 
 def cmd_spectrum(args):
@@ -238,7 +240,7 @@ def cmd_spectrum(args):
         shooting = spec_mod.eigen_shooting(
             *section, tol=args.tol, guesses=() if pencil is None else pencil.eigenvalues)
     if shooting is not None and pencil is not None:
-        _check_agreement(shooting, pencil)
+        _check_agreement(shooting, pencil, args.tol)
     results = [r for r in (shooting, pencil) if r is not None]
 
     def rows():

@@ -293,10 +293,30 @@ def test_spectrum_both_exits_1_when_the_methods_disagree(tmp_path, capsys):
     assert status == 1
     assert out == ""
     assert err.startswith("error: DisagreementError: row 1: pencil -1.232921784495")
-    assert "shooting -2.58627305745" in err and "more than 1e-8" in err
+    assert "shooting -2.58627305745" in err and "more than 1e-08" in err
     status, out, _ = run_cli(capsys, *argv, "--method", "shooting")
     assert status == 0
     assert float(csv_table(out)[1][2][1]) == pytest.approx(0.30002754750318, rel=1e-12)
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "1e-3"])
+def test_spectrum_both_agrees_within_a_coarse_tol(tmp_path, capsys, tol):
+    # Two mirror halves joined by p(4) = 1e-7: eigenvalues come in pairs
+    # 6e-9 apart, closer than tol, so both share one bracket and shooting
+    # reads their midpoint, 6.7e-8 from the pencil's.  The columns agree to
+    # tol, not to 1e-8.
+    doc = tmp_path / "c.json"
+    doc.write_text(json.dumps({"p": [1.0, 1.5, 2.0, 1.2, 1e-7, 1.2, 2.0, 1.5, 1.0],
+                               "q": [0.3] * 9,
+                               "w": [1.0, -2.0, 1.5, 0.7, 0.7, 1.5, -2.0, 1.0]}))
+    status, out, err = run_cli(capsys, "spectrum", "--coeffs", str(doc), "--n", "8",
+                               "--tol", tol)
+    assert (status, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    shoot, pencil = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
+    assert len(rows) == 8
+    gap = np.abs(shoot - pencil) / np.maximum(1.0, np.abs(shoot))
+    assert 1e-8 < gap.max() <= float(tol)
 
 
 @pytest.mark.parametrize("method", ["shooting", "pencil", "both"])

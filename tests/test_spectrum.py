@@ -467,28 +467,30 @@ def guess_values(c, N, recipe):
 @example(CLUSTER, (-1.7e308, 1.7e308), 1e-12, (1e-9, [-1e300, 1e300], True))
 def test_multisection_brackets_keep_the_dstebz_invariant(instance, window, tol, recipe):
     # Each bracket of index i has G(lo) < i <= G(hi), and it stops at the
-    # width or when no float lies strictly inside.  Guesses (right, wrong,
-    # outside the window or repeated) only add counted points, so the answer
-    # stays within tol of the solve without them.
+    # width or when no float lies strictly inside, with and without guesses.
+    # Guesses (right, wrong, outside the window or repeated) only add counted
+    # points, so the answer stays within tol of the solve without them.
     c, N = instance
     fs = finite_section(c, N)
     res = eigen_shooting(c, N, *window, tol=tol, guesses=guess_values(c, N, recipe))
+    cold = eigen_shooting(c, N, *window, tol=tol)
     base = (-np.sum(fs.W_diag < 0) if window[0] is None
             else spectrum._sturm_count(fs, window[0])[0])
     top = np.sum(fs.W_diag > 0) if window[1] is None else spectrum._sturm_count(fs, window[1])[0]
-    assert len(res.brackets) == len(res.eigenvalues) == top - base
-    if not res.brackets:
-        return
-    lo, hi = map(np.array, zip(*res.brackets))
-    index = np.arange(1, lo.size + 1)
-    assert np.all(spectrum._sturm_count(fs, lo) - base < index)
-    assert np.all(index <= spectrum._sturm_count(fs, hi) - base)
-    mid = 0.5 * (lo + hi)
-    assert np.all((hi - lo <= tol * np.maximum(1.0, np.abs(mid)))
-                  | (np.nextafter(lo, np.inf) >= hi))
+    for r in (res, cold):
+        assert len(r.brackets) == len(r.eigenvalues) == top - base
+        if not r.brackets:
+            continue
+        lo, hi = map(np.array, zip(*r.brackets))
+        index = np.arange(1, lo.size + 1)
+        assert np.all(spectrum._sturm_count(fs, lo) - base < index)
+        assert np.all(index <= spectrum._sturm_count(fs, hi) - base)
+        mid = 0.5 * (lo + hi)
+        assert np.all((hi - lo <= tol * np.maximum(1.0, np.abs(mid)))
+                      | (np.nextafter(lo, np.inf) >= hi))
     # Below the float spacing the counts themselves round, so two brackets of
     # adjacent floats may lie a few ulps apart (3 eps in 1,500 draws).
-    cold = np.asarray(eigen_shooting(c, N, *window, tol=tol).eigenvalues)
+    cold = np.asarray(cold.eigenvalues)
     assert np.all(np.abs(np.asarray(res.eigenvalues) - cold)
                   <= max(tol, 16 * np.finfo(float).eps) * np.maximum(1.0, np.abs(cold)))
 
