@@ -5,11 +5,12 @@ a symmetric positive-definite tridiagonal matrix (p > 0, q >= 0) while the
 diagonal weight W may be indefinite.  Two independent solvers cross-validate.
 Shooting counts the sign changes of the recurrence solution u(0) = 0,
 u(1) = 1, which are the negative pivots of L - lambda W, as a signed count G
-(Sylvester's law of inertia gives the range: #(w > 0) positive and #(w < 0)
-negative eigenvalues), and finds each eigenvalue by its index in G by
-multisection on one sorted set of counted points, from which each bracket
-is read: each pass counts several points of every distinct bracket in one
-vectorized call.  Guesses, such as the pencil's eigenvalues, are certified
+(Sylvester's law of inertia gives the counts: #(w > 0) positive and #(w < 0)
+negative eigenvalues, and Ostrowski's quantitative form the range: all lie
+within 2 max L_diag / min |w != 0| of zero), and finds each eigenvalue by
+its index in G by multisection on one sorted set of counted points, from
+which each bracket is read: each pass counts several points of every
+distinct bracket in one vectorized call.  Guesses, such as the pencil's eigenvalues, are certified
 by counts, never trusted: the counts just below and above a guess confirm
 its index or leave it to the passes.  The congruence keeps the pencil in
 tridiagonal storage: the rows with w = 0 are removed by a Schur complement,
@@ -129,41 +130,42 @@ def _inertia(fs: FiniteSection) -> tuple:
     return -int(np.sum(fs.W_diag < 0)), int(np.sum(fs.W_diag > 0))
 
 
-def _range(fs: FiniteSection, need=(True, True)) -> tuple:
-    """`shooting_range` of a built section; ``need`` names the sides, (-B, B), that count.
+def _bound(fs: FiniteSection) -> float:
+    """B = 4 max L_diag / min |w != 0|, clipped to [1, largest double].
 
-    B is `shooting_range`'s whenever both signed counts reach the inertia at a
-    finite power of two.  Otherwise, with one side not needed, it is the least
-    power of two at which the needed side reaches its count, so an eigenvalue
-    beyond the float range on the other side of zero stops no one-sided window.
+    Each L_diag(n) = p(n-1) + p(n) + q(n) is at least its row's off-diagonal
+    sum, so by Gershgorin lambda_max(L) <= 2 max L_diag, and by Ostrowski's
+    quantitative law of inertia every finite eigenvalue has |lambda| <=
+    lambda_max(L) / min |w != 0| <= B / 2, unless the clip at the largest
+    double cuts B.  Zero weights only add infinite eigenvalues, and with no
+    nonzero weight B = 1.
     """
-    target = np.array(_inertia(fs))[:, None]
-    own = []
-    for k in (np.arange(64), np.arange(64, 1024)):
-        B = np.ldexp(1.0, k)
-        reach = _sturm_count(fs, np.concatenate([-B, B])).reshape(2, -1) == target
-        hit = np.flatnonzero(reach.all(axis=0))
-        if hit.size:
-            B = float(B[hit[0]])
-            return (-B, B)
-        own += B[reach[list(need)].all(axis=0)].tolist()
-    if own:
-        return (-own[0], own[0])
-    raise SolverOverflowError("an eigenvalue lies beyond the float range")
+    with np.errstate(over="ignore", divide="ignore"):
+        B = 4.0 * np.max(fs.L_diag) / np.min(np.abs(fs.W_diag[fs.W_diag != 0]), initial=np.inf)
+    return float(np.clip(B, 1.0, np.finfo(float).max))
+
+
+def _check_reach(fs: FiniteSection, counts, missing) -> None:
+    """Raise unless the count at each missing window end, -B or B, is its inertia count."""
+    if any(m and int(g) != t for m, g, t in zip(missing, counts, _inertia(fs))):
+        raise SolverOverflowError("an eigenvalue lies beyond the float range")
 
 
 def shooting_range(coeffs: CoefficientSet, N: int) -> tuple:
-    """A symmetric lambda range containing every finite section eigenvalue.
+    """A symmetric lambda range (-B, B) containing every finite section eigenvalue.
 
     L is positive definite, so by Sylvester's law of inertia the pencil has
-    exactly #(w > 0) positive and #(w < 0) negative finite eigenvalues.  B
-    is the least power of two 1, 2, 4, ... at which the signed counts at -B
-    and B reach -#(w < 0) and #(w > 0), with 2^0..2^63 counted in one pass
-    and 2^64..2^1023 in a second only when needed; zero weights only add
-    infinite eigenvalues, which no count sees.
-    Raises SolverOverflowError when no finite power of two meets the counts.
+    exactly #(w > 0) positive and #(w < 0) negative finite eigenvalues, and
+    by Ostrowski's quantitative form each has |lambda| <= B / 2 for B =
+    4 max L_diag / min |w != 0|, clipped to [1, largest double].
+    Raises SolverOverflowError when the signed counts at -B and B are not
+    -#(w < 0) and #(w > 0), that is, when an eigenvalue lies beyond the
+    largest double.
     """
-    return _range(finite_section(coeffs, N))
+    fs = finite_section(coeffs, N)
+    B = _bound(fs)
+    _check_reach(fs, _sturm_count(fs, [-B, B]), (True, True))
+    return (-B, B)
 
 
 def _check_window(lambda_min, lambda_max):
@@ -191,11 +193,11 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
     number <= 512 / (distinct active brackets).  Brackets only shrink, so a
     pass keeps just the window ends and the bracket ends.  A bracket stops
     when its width is at most tol * max(1, |midpoint|) or no float lies
-    strictly inside.  A missing end starts at `shooting_range`, whose counts
-    are -#(w < 0) and #(w > 0), or, when only the other side of zero holds
-    an eigenvalue beyond the float range, at the least power of two whose
-    own count reaches the inertia; a given end beyond the spectrum leaves
-    no index.  ``brackets`` holds the final [lo, hi] of each eigenvalue.
+    strictly inside.  A missing end starts at -B or B of `shooting_range`,
+    counted with the rest of the first count, and its count must be
+    -#(w < 0) or #(w > 0), else SolverOverflowError: an eigenvalue on that
+    side lies beyond the float range.  A given end beyond the spectrum
+    leaves no index.  ``brackets`` holds the final [lo, hi] of each eigenvalue.
 
     ``guesses`` (finite, for example `eigen_pencil`'s eigenvalues) are
     certified by counts, never trusted: each guess g strictly inside the
@@ -213,15 +215,15 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
         raise ValidationError("need finite guesses")
     _check_window(lambda_min, lambda_max)
     fs = finite_section(coeffs, N)
-    need = (lambda_min is None, lambda_max is None)
-    start = _range(fs, need) if any(need) else (None, None)
-    x = np.array([start[0] if lambda_min is None else lambda_min,
-                  start[1] if lambda_max is None else lambda_max], dtype=float)
+    B = _bound(fs)
+    x = np.array([-B if lambda_min is None else lambda_min,
+                  B if lambda_max is None else lambda_max], dtype=float)
     inside = guesses[(x[0] < guesses) & (guesses < x[1])]
     d = 0.25 * tol * np.maximum(1.0, np.abs(inside))
     near = np.concatenate([inside - d, inside + d])
     x = np.concatenate([x[:1], np.unique(near[(x[0] < near) & (near < x[1])]), x[1:]])
     g = _sturm_count(fs, x)
+    _check_reach(fs, g[[0, -1]], (lambda_min is None, lambda_max is None))
     while True:
         # Each rise of the running maximum of g ends a bracket that starts one point before.
         rise = np.diff(np.maximum.accumulate(g)) > 0

@@ -147,13 +147,21 @@ class TestShooting:
             eigen_shooting(c, 4, hi + 1.0, hi)
 
     def test_one_sided_window_needs_only_its_own_side(self):
-        # The positive eigenvalue near 2 / 1.2e-308 lies beyond every finite
-        # power of two, so no B reaches both inertia counts; the window below
-        # 0 needs only -B, and answers as the two-sided window does.
+        # The eigenvalues are about -sqrt(2), sqrt(2) and 2 / w(2).  For w(2) =
+        # 1.2e-308 the last is 1.67e308, below the largest double, where B is
+        # clipped; for w(2) = 5e-324 it lies beyond it, the count at B misses
+        # it, and only the window below 0, which needs just -B, answers.
         c, N = explicit([1.0, 1.2e-308, -1.0])
-        below = eigen_shooting(c, N, lambda_max=0.0)
-        assert below == eigen_shooting(c, N, -2.0, 0.0)
-        assert below.eigenvalues == [pytest.approx(-np.sqrt(2.0), rel=1e-12)]
+        exact = np.array([-np.sqrt(2.0), np.sqrt(2.0), 2.0 / 1.2e-308])
+        np.testing.assert_allclose(eigen_shooting(c, N).eigenvalues, exact, rtol=1e-12)
+        np.testing.assert_allclose(eigen_shooting(c, N, lambda_min=0.0).eigenvalues,
+                                   exact[1:], rtol=1e-12)
+        for w2 in (1.2e-308, 5e-324):
+            c, N = explicit([1.0, w2, -1.0])
+            below = eigen_shooting(c, N, lambda_max=0.0)
+            assert below.eigenvalues == [pytest.approx(-np.sqrt(2.0), rel=1e-12)]
+        with pytest.raises(SolverOverflowError, match="beyond the float range"):
+            shooting_range(c, N)
         for window in ({}, {"lambda_min": 0.0}):
             with pytest.raises(SolverOverflowError, match="beyond the float range"):
                 eigen_shooting(c, N, **window)
@@ -370,6 +378,9 @@ def test_pencil_matches_dense_generalized_eig(instance):
     scale = np.max(np.abs(fs.L_diag)) + np.max(np.abs(w)) * lam_max
     assert all(r <= 1e-8 * scale for r in res.residuals)
 
+    # Ostrowski and Gershgorin: every finite eigenvalue lies within B / 2 of zero.
+    assert np.all(np.abs(ref) <= shooting_range(c, N)[1] / 2)
+
     shoot = np.asarray(eigen_shooting(c, N).eigenvalues)
     assert shoot.size == ref.size
     assert np.all(np.abs(shoot - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
@@ -396,14 +407,12 @@ def test_pencil_inertia_violation_raises(monkeypatch):
 
 
 def reference_range(c, N):
-    """`shooting_range` as a doubling loop: B = 1, 2, 4, ... one count at a time."""
+    """`shooting_range` by its formula: B = 4 max L_diag / min |w != 0| in [1, largest double]."""
     fs = finite_section(c, N)
-    target = [-int(np.sum(fs.W_diag < 0)), int(np.sum(fs.W_diag > 0))]
-    B = 1.0
-    while spectrum._sturm_count(fs, [-B, B]).tolist() != target:
-        B *= 2.0
-        if not np.isfinite(B):
-            raise SolverOverflowError("an eigenvalue lies beyond the float range")
+    w = np.abs(fs.W_diag[fs.W_diag != 0])
+    with np.errstate(over="ignore"):
+        B = 4.0 * np.max(fs.L_diag) / np.min(w) if w.size else 1.0
+    B = float(min(max(B, 1.0), np.finfo(float).max))
     return (-B, B)
 
 
@@ -514,22 +523,16 @@ def test_one_point_per_bracket_is_bisection(monkeypatch, seed):
 
 
 def test_no_multisection_point_is_counted_twice(monkeypatch):
-    # Indices that share a bracket share its points, so after the range and
-    # the start count, the passes of one solve count each point once: on the
-    # criterion-9 family at N = 32, with and without zero weights.
-    count, find_range, calls = spectrum._sturm_count, spectrum._range, []
+    # Indices that share a bracket share its points, so one whole solve, the
+    # first count of the window ends included, counts each point once: on
+    # the criterion-9 family at N = 32, with and without zero weights.
+    count, calls = spectrum._sturm_count, []
 
     def recorded(fs, lams):
         calls.append(np.atleast_1d(lams))
         return count(fs, lams)
 
-    def range_not_recorded(fs, *need):
-        start = find_range(fs, *need)
-        calls.clear()
-        return start
-
     monkeypatch.setattr(spectrum, "_sturm_count", recorded)
-    monkeypatch.setattr(spectrum, "_range", range_not_recorded)
     rng = np.random.default_rng(42)
     for k in range(100):
         c = indefinite_coeffs(rng, 32)
@@ -537,15 +540,16 @@ def test_no_multisection_point_is_counted_twice(monkeypatch):
             w = c.w.values.real.copy()
             w[rng.choice(32, 5, replace=False)] = 0.0
             c = CoefficientSet(p=c.p, q=c.q, w=Sequence(1, w))
+        calls.clear()
         eigen_shooting(c, 32)
-        points = np.concatenate(calls[1:])
+        points = np.concatenate(calls)
         assert np.unique(points).size == points.size
 
 
-def test_pencil_guesses_need_one_count_after_the_range(monkeypatch):
+def test_pencil_guesses_need_one_count(monkeypatch):
     # On the criterion-9 family at N = 32, with and without zero weights, the
     # counts at the pencil's eigenvalues +- tol/4 certify every index, so a
-    # solve makes the range call and one count, and no pass.  The pencil's
+    # solve makes one count, next to the window ends -B and B, and no pass.  The pencil's
     # wrong values on the tiny-weight case are not certified: their indices
     # take passes, and row 3 is shooting's 0.30003, not the pencil's 1.0710.
     count, calls = spectrum._sturm_count, []
@@ -565,31 +569,33 @@ def test_pencil_guesses_need_one_count_after_the_range(monkeypatch):
         guesses = eigen_pencil(c, 32).eigenvalues
         calls.clear()
         res = eigen_shooting(c, 32, guesses=guesses)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert len(res.eigenvalues) == len(guesses)
     c, N = explicit([1.0, -1.0, 1e-16, 2.0, -0.5, 1e-16, 1.0])
     guesses = eigen_pencil(c, N).eigenvalues
     assert guesses[2] == pytest.approx(1.0709887937131, rel=1e-12)
     calls.clear()
     res = eigen_shooting(c, N, guesses=guesses)
-    assert len(calls) > 2
+    assert len(calls) > 1
     assert res.eigenvalues[2] == pytest.approx(0.30002754750318, rel=1e-12)
 
 
-@pytest.mark.parametrize("w", [[1.0, 1e-300, -1.0], [1e-30, -2.0, 3.0, 0.0]])
-def test_shooting_range_matches_doubling_loop(w):
-    # B is the same power of two, also past the first chunk 2^0..2^63:
-    # the 1e-300 weight needs B near 2^1000.
+# A tiny weight, small weights next to a zero, a B clipped to the largest
+# double, and no nonzero weight (B = 1).
+@pytest.mark.parametrize("w", [[1.0, 1e-300, -1.0], [1e-30, -2.0, 3.0, 0.0],
+                               [1.0, 1.2e-308, -1.0], [0.0, 0.0]])
+def test_shooting_range_matches_the_bound(w):
     c, N = explicit(w)
     assert shooting_range(c, N) == reference_range(c, N)
+    assert all(type(B) is float for B in shooting_range(c, N))
     rng = np.random.default_rng(22)
     for N in (1, 5, 17, 40):
         c = indefinite_coeffs(rng, N)
         assert shooting_range(c, N) == reference_range(c, N)
 
 
-def test_shooting_range_overflow_matches_doubling_loop():
+def test_shooting_range_raises_beyond_the_float_range():
+    # An eigenvalue near 2 / 5e-324 lies beyond the largest double, where B is clipped.
     c, N = explicit([1.0, 5e-324, -1.0])
-    for solver in (shooting_range, reference_range):
-        with pytest.raises(SolverOverflowError, match="beyond the float range"):
-            solver(c, N)
+    with pytest.raises(SolverOverflowError, match="beyond the float range"):
+        shooting_range(c, N)

@@ -8,7 +8,8 @@ their bytes, dataclasses field by field, and a raised error as its type and
 message.  The calls cover `verify.run_all`, the per-block (largest ratio,
 number failed) of each campaign's ``blocks``, the public functions of
 `calculus`, `space`, `operators` and `spectrum` on seeded instances (shooting
-also with the pencil's eigenvalues as guesses), and
+also with the pencil's eigenvalues as guesses, and on a weight that puts an
+eigenvalue near the largest double), and
 invalid integer arguments: a non-integer, bool or below-range N for every
 function that takes one, a 1.5 index through each window read, and a
 negative seed for each preset.  Run it on
@@ -24,6 +25,7 @@ import hashlib
 import numpy as np
 
 from leftdef import (
+    CoefficientSet,
     InitKind,
     Sequence,
     apply_L,
@@ -204,6 +206,13 @@ def spectrum() -> None:
                 record(f"eigen_shooting({label}, {N}, {window}, guesses=pencil)",
                        lambda: eigen_shooting(c, N, *window,
                                               guesses=eigen_pencil(c, N, *window).eigenvalues))
+    # w(2) = 1.2e-308 puts an eigenvalue near 1.67e308, just below the largest double.
+    c = CoefficientSet(Sequence(0, np.ones(4)), Sequence(0, np.zeros(4)),
+                       Sequence(1, np.array([1.0, 1.2e-308, -1.0])))
+    record("shooting_range(w=[1,1.2e-308,-1], 3)", lambda: shooting_range(c, 3))
+    for window in ((None, None), (0.0, None), (None, 0.0)):
+        record(f"eigen_shooting(w=[1,1.2e-308,-1], 3, {window})",
+               lambda: eigen_shooting(c, 3, *window))
 
 
 def invalid_arguments() -> None:
