@@ -16,6 +16,8 @@ its index or leave it to the passes.  The congruence keeps the pencil in
 tridiagonal storage: the rows with w = 0 are removed by a Schur complement,
 T = |W|^-1/2 L |W|^-1/2 is factored as C C^T with C bidiagonal, and the
 symmetric tridiagonal C^T J C, J = sign(w), has the pencil's eigenvalues.
+Only the pencil uses scipy, and `eigen_pencil` imports it on its first call,
+so shooting and the rest of the package load without it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eigh_tridiagonal, solve_banded
 
 from .coeffs import CoefficientSet, _integer
 from .errors import InertiaError, SolverOverflowError, ValidationError
@@ -311,6 +312,8 @@ def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None
     the congruence loses the spectrum, raises SolverOverflowError.  Both
     checks see the whole spectrum; the window applies only after them.
     """
+    from scipy import linalg
+
     _check_window(lambda_min, lambda_max)
     fs = finite_section(coeffs, N)
     a, b, keep, elim = _eliminate_zero_weights(fs)
@@ -324,19 +327,19 @@ def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None
     if not np.all(np.isfinite(T)):
         raise SolverOverflowError("a weight so small that |W|^-1/2 L |W|^-1/2 overflows")
     try:
-        C = cholesky_banded(T, lower=True)
+        C = linalg.cholesky_banded(T, lower=True)
     except np.linalg.LinAlgError as exc:
         raise InertiaError("L is not numerically positive definite") from exc
     c, sub = C[0], C[1, :-1]
 
     diag = c * c * J
     diag[:-1] += sub * sub * J[1:]
-    lam, Y = eigh_tridiagonal(diag, sub * J[1:] * c[1:])
+    lam, Y = linalg.eigh_tridiagonal(diag, sub * J[1:] * c[1:])
     inertia = (-int(np.sum(lam < 0)), int(np.sum(lam > 0)))
     if inertia != _inertia(fs):
         raise InertiaError(f"pencil inertia {inertia} != signs of w {_inertia(fs)}")
-    V = solve_banded((0, 1), np.array([np.insert(sub, 0, 0.0), c]), Y,
-                     overwrite_b=True, check_finite=False)
+    V = linalg.solve_banded((0, 1), np.array([np.insert(sub, 0, 0.0), c]), Y,
+                            overwrite_b=True, check_finite=False)
     V *= s[:, None]
     U = V if keep.size == fs.N else _fill_zero_weights(fs.N, keep, elim, V)
 

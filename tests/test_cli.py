@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -611,3 +615,39 @@ def test_spectrum_csv_pads_shorter_column(capsys, monkeypatch, short, empty):
     k, *cells = rows[3]
     assert k == "4" and cells[empty] == ""
     assert float(cells[1 - empty]) == pytest.approx(4 * np.sin(4 * np.pi / 10) ** 2)
+
+
+SCIPY_FREE_CHILD = """
+import contextlib, io, sys
+from leftdef import cli
+
+const = ["--preset", "constant:p=1,q=0,w=1"]
+commands = [
+    ["verify", "--suite", "all", "--cases", "10"],
+    ["solve", *const, "--lambda", "0", "--u0", "0", "--u1", "1", "--n", "5"],
+    ["wronskian", *const, "--lambda", "0", "--n", "8"],
+    ["bounds", "--preset", "constant:p=1,q=1,w=1", "--n", "6"],
+    ["apply", *const, "--u", "0,1,4,9,16"],
+    ["norm", *const, "--length", "5", "--u", "0,1,0,0,0"],
+    ["spectrum", *const, "--n", "8", "--method", "shooting"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    statuses = [cli.main(argv) for argv in commands]
+    assert statuses == [0] * len(commands), statuses
+    loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+    assert not loaded, loaded[:3]
+    assert cli.main(["spectrum", *const, "--n", "8", "--method", "pencil"]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_only_the_pencil_imports_scipy():
+    # This process already holds scipy, so a fresh interpreter runs every
+    # command but the pencil, checks that scipy is still unloaded, then runs
+    # the pencil, which loads it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", SCIPY_FREE_CHILD], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
