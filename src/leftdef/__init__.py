@@ -57,7 +57,6 @@ from .spectrum import (
     eigen_pencil,
     eigen_shooting,
     finite_section,
-    shooting_function,
     shooting_range,
 )
 

@@ -229,6 +229,7 @@ def _check_agreement(shooting, pencil, tol):
 
 def cmd_spectrum(args):
     coeffs = _coeffs_from_args(args)
+    spec_mod._check_tol(args.tol)  # also under --method pencil, which does not use it
     section = (coeffs, args.n, args.lambda_min, args.lambda_max)
     shooting = pencil = None
     if args.method in ("pencil", "both"):

@@ -249,17 +249,13 @@ def check_pointwise_bound(coeffs: CoefficientSet, u: Sequence, m: int,
     return inequality_report(float(lhs), float(rhs))
 
 
-def cauchy_diagnostics(coeffs: CoefficientSet, family, threshold: float = 1e-8,
-                       ) -> CauchyDiagnostics:
+def cauchy_diagnostics(coeffs: CoefficientSet, family) -> CauchyDiagnostics:
     """Contraction diagnostics for a numerically Cauchy family.
 
-    The last family member serves as the limit proxy (no extrapolation).
-    Raises NonCauchyError unless the norm distances to the proxy are
-    non-increasing and end below the threshold, and ValidationError for a
-    NaN threshold, which no comparison can fail.
+    The last family member serves as the limit proxy (no extrapolation), so
+    the last norm distance is 0.  Raises NonCauchyError unless the norm
+    distances to the proxy are non-increasing.
     """
-    if np.isnan(threshold):
-        raise ValidationError("threshold must not be NaN")
     family = list(family)
     if len(family) < 2:
         raise ValidationError("family needs at least two members")
@@ -283,11 +279,8 @@ def cauchy_diagnostics(coeffs: CoefficientSet, family, threshold: float = 1e-8,
 
     eps = 1e-12 * max(1.0, max(norm_distances))
     decreasing = all(b <= a + eps for a, b in zip(norm_distances, norm_distances[1:]))
-    if not decreasing or min(norm_distances) > threshold:
-        raise NonCauchyError(
-            "family does not contract below the threshold "
-            f"(distances {norm_distances})"
-        )
+    if not decreasing:
+        raise NonCauchyError(f"family does not contract (distances {norm_distances})")
 
     return CauchyDiagnostics(
         grad_limit=grad_limit,

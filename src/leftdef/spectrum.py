@@ -28,13 +28,11 @@ import numpy as np
 
 from .coeffs import CoefficientSet, _integer
 from .errors import InertiaError, SolverOverflowError, ValidationError
-from .operators import InitKind, solve_recurrence
 
 __all__ = [
     "FiniteSection",
     "SpectralResult",
     "finite_section",
-    "shooting_function",
     "shooting_range",
     "eigen_shooting",
     "eigen_pencil",
@@ -64,7 +62,9 @@ class SpectralResult:
     """Sorted real eigenvalues with per-method diagnostics.
 
     ``residuals`` (pencil) are ||L u - lambda W u|| / ||u||; ``brackets``
-    (shooting) are the final multisection brackets (lo, hi), one per eigenvalue.
+    (shooting) are the final multisection brackets (lo, hi), one per eigenvalue;
+    ``no_finite_count`` (both) is the number of zero weights w(1..N), each an
+    infinite eigenvalue.
     """
 
     eigenvalues: list
@@ -86,12 +86,6 @@ def finite_section(coeffs: CoefficientSet, N: int) -> FiniteSection:
         L_offdiag=-pv[1:N],
         W_diag=wv.copy(),
     )
-
-
-def shooting_function(coeffs: CoefficientSet, lam: float, N: int) -> float:
-    """u_lam(N+1) for the solution with u(0) = 0, u(1) = 1; zeros are eigenvalues."""
-    sol = solve_recurrence(coeffs, float(lam), InitKind.VALUE_PAIR, 0.0, 1.0, N)
-    return float(sol.values.at(N + 1).real)
 
 
 def _sturm_count(fs: FiniteSection, lams) -> np.ndarray:
@@ -176,6 +170,12 @@ def _check_window(lambda_min, lambda_max):
         raise ValidationError("need finite lambda_min < lambda_max")
 
 
+def _check_tol(tol):
+    """Shooting's stop width tol is finite and positive."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError("need finite tol > 0")
+
+
 def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = None,
                    lambda_max: float | None = None, tol: float = 1e-12, *,
                    guesses=()) -> SpectralResult:
@@ -209,8 +209,7 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
     the passes.  Every answer still comes from the counts alone; without
     guesses the first count holds the two window ends only.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValidationError("need finite tol > 0")
+    _check_tol(tol)
     guesses = np.asarray(guesses, dtype=float).ravel()
     if not np.all(np.isfinite(guesses)):
         raise ValidationError("need finite guesses")
@@ -251,7 +250,8 @@ def eigen_shooting(coeffs: CoefficientSet, N: int, lambda_min: float | None = No
     j = np.searchsorted(np.maximum.accumulate(g), np.arange(g[0] + 1, g[-1] + 1))
     lo, hi = x[j - 1], x[j]
     return SpectralResult(eigenvalues=(0.5 * lo + 0.5 * hi).tolist(), method="shooting",
-                          brackets=list(zip(lo.tolist(), hi.tolist())))
+                          brackets=list(zip(lo.tolist(), hi.tolist())),
+                          no_finite_count=int(np.count_nonzero(fs.W_diag == 0)))
 
 
 def _eliminate_zero_weights(fs: FiniteSection):

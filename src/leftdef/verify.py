@@ -40,10 +40,6 @@ class CampaignResult:
     failures: int
     worst: float    # largest per-case ratio (a case fails past 1); 0 with no cases
 
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
 
 CAMPAIGNS = {}
 _SOURCES = {}   # (draw, solve) -> {name: check} of the campaigns that read its blocks

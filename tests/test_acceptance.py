@@ -119,7 +119,7 @@ def test_criterion_7_cauchy_diagnostics():
     ]
     ok = True
     for fam in families:
-        d = cauchy_diagnostics(c, fam, threshold=1e-10)
+        d = cauchy_diagnostics(c, fam)
         dist = d.norm_distances
         ok = ok and all(b <= a for a, b in zip(dist, dist[1:]))
         ok = ok and min(dist) <= 1e-10

@@ -23,7 +23,6 @@ from leftdef import (
     finite_section,
     greens_identity_residual,
     make_preset,
-    shooting_function,
     shooting_range,
     solve_recurrence,
     summation_by_parts_residual,
@@ -39,7 +38,6 @@ TAKES_N = {
     "eigen_pencil": lambda N: eigen_pencil(C, N),
     "eigen_shooting": lambda N: eigen_shooting(C, N),
     "shooting_range": lambda N: shooting_range(C, N),
-    "shooting_function": lambda N: shooting_function(C, 0.75, N),
     "solve_recurrence": lambda N: solve_recurrence(C, 0.5, InitKind.VALUE_PAIR, 0.0, 1.0, N),
     "bound_constants": lambda N: bound_constants(C, N),
     "greens_identity_residual": lambda N: greens_identity_residual(C.p, U, V, N),

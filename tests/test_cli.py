@@ -268,7 +268,7 @@ def test_spectrum_zero_weights(tmp_path, capsys):
                              "--method", "both", "--format", "json")
     assert status == 0
     shoot, pencil = json.loads(out)
-    assert pencil["no_finite_count"] == 3
+    assert shoot["no_finite_count"] == pencil["no_finite_count"] == 3
     assert len(shoot["eigenvalues"]) == len(pencil["eigenvalues"]) == 5
     np.testing.assert_allclose(shoot["eigenvalues"], pencil["eigenvalues"], rtol=1e-10)
 
@@ -421,13 +421,14 @@ def test_negative_seed_is_config_error(capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_spectrum_non_finite_tol_exits_1(capsys, tol):
-    status, out, err = run_cli(capsys, "spectrum", "--preset", "constant:p=1,q=0,w=1",
-                               "--n", "4", "--tol", tol)
-    assert status == 1
-    assert out == ""
-    assert err == "error: ValidationError: need finite tol > 0\n"
+    for method in ("shooting", "pencil", "both"):  # the pencil alone does not use tol
+        status, out, err = run_cli(capsys, "spectrum", "--preset", "constant:p=1,q=0,w=1",
+                                   "--n", "4", "--method", method, "--tol", tol)
+        assert status == 1
+        assert out == ""
+        assert err == "error: ValidationError: need finite tol > 0\n"
 
 
 SOLVE = ("solve", "--preset", "constant:p=1", "--n", "3")

@@ -227,6 +227,8 @@ class TestLemmaChecks:
     @pytest.mark.parametrize("p, match", [
         (-np.ones(8), "not strictly positive"),
         (np.ones(8) + 1j, "real-valued"),
+        # A zero p, not only a negative one, is rejected.
+        (np.array([1.0, 0, 2, 1, 1, 1, 1, 1]), r"p\(1\) not strictly positive"),
     ])
     def test_lemma1_rejects_bad_p(self, p, match):
         u = Sequence(0, np.arange(8.0) ** 2)
@@ -275,7 +277,7 @@ class TestCauchyDiagnostics:
         L = 40
         u = self._supported(L)
         fam = [Sequence(0, np.where(np.arange(L) < n, u, 0)) for n in range(2, L + 1)]
-        d = cauchy_diagnostics(self._coeffs(L), fam, threshold=1e-10)
+        d = cauchy_diagnostics(self._coeffs(L), fam)
         # distances vanish exactly once the truncation passes the support
         assert all(x == 0.0 for x in d.norm_distances[10:])
         assert d.norm_distances[0] > 0
@@ -288,7 +290,7 @@ class TestCauchyDiagnostics:
         c = self._coeffs(L)
         K = 14
         fam = [Sequence(0, base + e1 / n) for n in range(1, K + 1)]
-        d = cauchy_diagnostics(c, fam, threshold=1e-10)
+        d = cauchy_diagnostics(c, fam)
         e1_norm = h1_norm(c, Sequence(0, e1))
         for i, n in enumerate(range(1, K + 1)):
             assert d.norm_distances[i] == pytest.approx(
@@ -299,7 +301,7 @@ class TestCauchyDiagnostics:
         u = self._supported(L)
         fam = [Sequence(0, 2.0 ** -np.maximum(np.arange(L) - n, 0) * u)
                for n in range(1, L)]
-        d = cauchy_diagnostics(self._coeffs(L), fam, threshold=1e-10)
+        d = cauchy_diagnostics(self._coeffs(L), fam)
         assert all(b <= a for a, b in zip(d.norm_distances, d.norm_distances[1:]))
         assert all(b <= a + 1e-15 for a, b in
                    zip(d.l2_grad_distances, d.l2_grad_distances[1:]))
@@ -309,17 +311,11 @@ class TestCauchyDiagnostics:
         c = self._coeffs(L)
         u = self._supported(L)
         fam = [Sequence(0, u * (1 + 1e-3 / n)) for n in range(1, 10)]
-        d = cauchy_diagnostics(c, fam, threshold=1e-2)
+        d = cauchy_diagnostics(c, fam)
         sqrtq = np.sqrt(c.q.values.real[:L])
         resid = np.abs(d.weighted_limit.values - sqrtq * d.pointwise_limit.values)
         scale = max(1.0, float(np.max(np.abs(d.weighted_limit.values))))
         assert np.all(resid <= 1e-9 * scale)
-
-    def test_nan_threshold_rejected(self):
-        L = 20
-        fam = [Sequence(0, np.full(L, 1.0 + 1.0 / n)) for n in range(1, 4)]
-        with pytest.raises(ValidationError, match="threshold must not be NaN"):
-            cauchy_diagnostics(self._coeffs(L), fam, threshold=np.nan)
 
     def test_non_cauchy_family_rejected(self):
         L = 20
@@ -327,4 +323,4 @@ class TestCauchyDiagnostics:
         rng = np.random.default_rng(0)
         fam = [Sequence(0, rng.normal(size=L)) for _ in range(6)]
         with pytest.raises(NonCauchyError):
-            cauchy_diagnostics(c, fam, threshold=1e-10)
+            cauchy_diagnostics(c, fam)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from leftdef import (
     InertiaError,
+    InitKind,
     LeftDefError,
     Sequence,
     SolverOverflowError,
@@ -15,8 +16,8 @@ from leftdef import (
     eigen_shooting,
     finite_section,
     make_preset,
-    shooting_function,
     shooting_range,
+    solve_recurrence,
 )
 from leftdef import spectrum
 from leftdef.coeffs import CoefficientSet
@@ -29,6 +30,11 @@ def free_laplacian(length=16):
 def closed_form(N):
     k = np.arange(1, N + 1)
     return 4 * np.sin(k * np.pi / (2 * (N + 1))) ** 2
+
+
+def u_end(c, lam, N):
+    """u(N+1) of the solution with u(0) = 0, u(1) = 1: its zeros in lam are the eigenvalues."""
+    return float(solve_recurrence(c, lam, InitKind.VALUE_PAIR, 0.0, 1.0, N).values.at(N + 1).real)
 
 
 def dense_L(fs):
@@ -83,20 +89,20 @@ class TestFiniteSection:
 class TestShooting:
     def test_one_step_root(self):
         c = free_laplacian()
-        assert shooting_function(c, 2.0, 1) == 0.0
-        assert shooting_function(c, 0.0, 1) == pytest.approx(2.0)
+        assert u_end(c, 2.0, 1) == 0.0
+        assert u_end(c, 0.0, 1) == pytest.approx(2.0)
 
     def test_lambda_zero_never_dirichlet_eigenvalue(self):
         c = free_laplacian()
         for N in (1, 4, 8):
-            assert shooting_function(c, 0.0, N) == pytest.approx(N + 1)
+            assert u_end(c, 0.0, N) == pytest.approx(N + 1)
 
     def test_sign_changes_across_closed_form_roots(self):
         c = free_laplacian()
         N = 8
         for lam in closed_form(N):
-            below = shooting_function(c, lam - 1e-6, N)
-            above = shooting_function(c, lam + 1e-6, N)
+            below = u_end(c, lam - 1e-6, N)
+            above = u_end(c, lam + 1e-6, N)
             assert below * above < 0
 
     def test_eigen_shooting_closed_form(self):

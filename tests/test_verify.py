@@ -117,6 +117,21 @@ def test_run_all_solves_each_recurrence_block_once(monkeypatch):
     assert len(solves) == 3
 
 
+def test_run_all_calls_each_single_source_campaign_once(monkeypatch):
+    # perfbench/spans.py times verify.<name>.case_s by wrapping these functions,
+    # so run_all runs a campaign whose source it shares with no other through
+    # its own CAMPAIGNS entry rather than tallying its check itself.
+    calls = []
+    for name, campaign in list(CAMPAIGNS.items()):
+        def counted(seed, cases, name=name, campaign=campaign):
+            calls.append(name)
+            return campaign(seed, cases)
+        monkeypatch.setitem(CAMPAIGNS, name, counted)
+    run_all(3, 5)
+    shared = {"wronskian-constancy", "solver-consistency"}
+    assert sorted(calls) == sorted(set(CAMPAIGNS) - shared)
+
+
 @pytest.mark.parametrize("name, own, other", [
     ("wronskian-constancy", "_wronskian_drift", "_residual_ratio"),
     ("solver-consistency", "_residual_ratio", "_wronskian_drift"),

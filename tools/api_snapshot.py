@@ -7,13 +7,13 @@ complex numbers as a pair of them, arrays as dtype, shape and the SHA-256 of
 their bytes, dataclasses field by field, and a raised error as its type and
 message.  The calls cover `verify.run_all`, the per-block (largest ratio,
 number failed) of each campaign's ``blocks``, the public functions of
-`calculus`, `space`, `operators` and `spectrum` on seeded instances (shooting
+`calculus`, `space`, `operators` and `spectrum` on seeded instances
+(`cauchy_diagnostics` also on a family that does not contract, shooting
 also with the pencil's eigenvalues as guesses, and on a weight that puts an
-eigenvalue near the largest double), and
-invalid integer arguments: a non-integer, bool or below-range N for every
-function that takes one, a 1.5 index through each window read, and a
-negative seed for each preset.  Run it on
-two source trees and `diff` the snapshots: equal lines mean bit-identical
+eigenvalue near the largest double), and invalid integer arguments: a
+non-integer, bool or below-range N for every function that takes one, a 1.5
+index through each window read, and a negative seed for each preset.  Run it
+on two source trees and `diff` the snapshots: equal lines mean bit-identical
 results.  See `tools/cli_snapshot.py` for the same over the CLI.
 """
 
@@ -45,7 +45,6 @@ from leftdef import (
     make_preset,
     product_rule_residual,
     recurrence,
-    shooting_function,
     shooting_range,
     solve_recurrence,
     summation_by_parts_residual,
@@ -164,6 +163,12 @@ def space(rng) -> None:
                    lambda: check_pointwise_bound(c, u, m, N))
         family = [Sequence(0, u.values * (1 + 0.5 ** k)) for k in range(1, 40, 3)] + [u]
         record(f"cauchy_diagnostics({label})", lambda: cauchy_diagnostics(c, family))
+    # Distances ||u||, 2 ||u||, 0 to the last member: a family that does not contract.
+    c = make_preset("random", length=40, rng_seed=3)
+    u = Sequence(0, np.cos(np.arange(40.0)))
+    growing = [Sequence(0, k * u.values) for k in (2.0, 3.0, 1.0)]
+    record("cauchy_diagnostics(random:seed=3,length=40, [2u, 3u, u])",
+           lambda: cauchy_diagnostics(c, growing))
 
 
 def operators(rng) -> None:
@@ -195,8 +200,6 @@ def spectrum() -> None:
         c = make()
         for N in (1, 8, 38):
             record(f"finite_section({label}, {N})", lambda: finite_section(c, N))
-            record(f"shooting_function({label}, 0.75, {N})",
-                   lambda: shooting_function(c, 0.75, N))
             record(f"shooting_range({label}, {N})", lambda: shooting_range(c, N))
             for window in ((None, None), (-1.0, None), (None, 2.0), (-3.0, 3.0)):
                 record(f"eigen_shooting({label}, {N}, {window})",
@@ -223,7 +226,6 @@ def invalid_arguments() -> None:
         "eigen_pencil": lambda N: eigen_pencil(c, N),
         "eigen_shooting": lambda N: eigen_shooting(c, N),
         "shooting_range": lambda N: shooting_range(c, N),
-        "shooting_function": lambda N: shooting_function(c, 0.75, N),
         "solve_recurrence": lambda N: solution(
             solve_recurrence(c, 0.5, InitKind.VALUE_PAIR, 0.0, 1.0, N)),
         "bound_constants": lambda N: bound_constants(c, N),
