@@ -163,11 +163,10 @@ def _lemma1(pv, uv, n, m, lo, hi):
 
         |u(m)| <= |u(n)| + (sum_{l=lo}^{hi} p|Du|^2)^(1/2) (sum_{l=n}^{m-1} 1/p(l))^(1/2).
 
-    p must be real, finite and positive (else ValidationError); n, m, lo
-    and hi broadcast against the trailing axes.
+    p must be real and positive (else ValidationError); its callers pass
+    finite p.  n, m, lo and hi broadcast against the trailing axes.
     """
     pv = _real("p", pv)
-    _require("p", np.isfinite(pv), 0, "is not finite")
     _require("p", pv > 0, 0, "not strictly positive")
     pfac = np.sqrt(_sum_over(1.0 / pv, n, m - 1))
     return abs(_at(uv, m)), abs(_at(uv, n)) + np.sqrt(_grad_energy(pv, uv, lo, hi)) * pfac

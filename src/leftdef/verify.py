@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import RESIDUAL_TOL, _greens_identity, _index, _product_rule, _summation_by_parts
-from .coeffs import CoefficientSet, _check_coefficients, _integer, _require
+from .coeffs import CoefficientSet, _integer
 from .errors import ValidationError
 from .operators import _apply_L, _wronskian_drift, recurrence
 from .space import _lemma1, _lemma2, _pointwise_bound, _slack
@@ -113,12 +113,6 @@ def _campaign(name: str, draw, solve=lambda *block: block):
     return register
 
 
-def _check_finite(**arrays):
-    """The finiteness check of a `Sequence`, made once for a whole block."""
-    for name, a in arrays.items():
-        _require(name, np.isfinite(a), 0, "is not finite")
-
-
 def _complex_pairs(parts):
     """Complex arrays from consecutive (real, imaginary) pairs."""
     return [re + 1j * im for re, im in zip(parts[::2], parts[1::2])]
@@ -141,7 +135,6 @@ def _pair_block(parts):
     """Complex f, g and their scale max(1, max|f| max|g|) from the padded
     Re f, Im f, Re g and Im g of a block."""
     f, g = _complex_pairs(parts)
-    _check_finite(f=f, g=g)
     return f, g, np.maximum(1.0, np.max(np.abs(f), axis=0) * np.max(np.abs(g), axis=0))
 
 
@@ -179,7 +172,6 @@ def _greens_identity_case(rng):
 def greens_identity_campaign(cols, arrays):
     p, *parts = arrays
     u, v = _complex_pairs(parts)
-    _check_finite(p=p, u=u, v=v)
     scale = np.maximum(1.0, np.max(p, axis=0) * np.max(np.abs(u), axis=0)
                        * np.max(np.abs(v), axis=0))
     return _residual_block(_greens_identity(p[:-1], u, v, cols[0]), scale)
@@ -200,7 +192,6 @@ def _solve_tame(cols, arrays):
     q(1..N) and w(1..N) of shape (len, 1, B), lam of shape (B,), and the
     solutions u of shape (N+2, 2, B) with phi and theta on axis 1."""
     p, q, w, re, im = arrays
-    _check_coefficients(p, q, w)
     init = re[:4] + 1j * im[:4]
     args = (p[:, None], q[1:, None], w[:-1, None], cols[0])
     return args, recurrence(*args, init[0::2], init[1::2])
@@ -249,12 +240,12 @@ def _supported(arrays):
     *coeffs, ur, ui = arrays
     u = np.zeros(ur.shape, dtype=complex)
     u[1:] = (ur + 1j * ui)[:-1]
-    _check_finite(u=u)
     return coeffs, u
 
 
 def _positive_padding(p, length):
-    """p with 1 past each case's length, so that the padding passes p > 0."""
+    """p with 1 past each case's length, so that the padding passes the p > 0
+    check of `_lemma1` and keeps 1/p finite."""
     return np.where(_index(p) < length, p, 1.0)
 
 
@@ -285,13 +276,10 @@ def _coefficient_case(rng) -> tuple:
 
 
 def _coefficient_block(length, bump, arrays):
-    """p, q and u of a block of `_coefficient_case` draws, with the checks a
-    CoefficientSet makes on p, q and w."""
-    (q, p, w), u = _supported(arrays)
+    """p, q and u of a block of `_coefficient_case` draws."""
+    (q, p, _), u = _supported(arrays)
     q[bump, np.arange(len(bump))] += 0.5
-    p = _positive_padding(p, length)
-    _check_coefficients(p, q, w)
-    return p, q, u
+    return _positive_padding(p, length), q, u
 
 
 def _lemma2_case(rng):

@@ -91,7 +91,9 @@ def test_index_must_be_an_integer(call, what):
     (lambda: cauchy_diagnostics(C, [U]), "family needs at least two members"),
     (lambda: CoefficientSet(Sequence(0, np.ones(3)), Sequence(0, np.zeros(3)),
                             Sequence(0, np.ones(3))), "w must start at index 1"),
-], ids=["check_lemma2", "cauchy_diagnostics", "CoefficientSet"])
+    (lambda: make_preset("random", {"p_range": (0.0, 1.0)}, length=2),
+     "random ranges must keep p > 0 and q >= 0"),
+], ids=["check_lemma2", "cauchy_diagnostics", "CoefficientSet", "make_preset-random-ranges"])
 def test_guard_is_validation_error(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

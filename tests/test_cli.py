@@ -32,7 +32,7 @@ def test_parse_preset_grammar():
     assert name == "constant"
     assert params == {"p": 1.0, "q": 0.0, "w": 1.0}
     assert parse_preset("random") == ("random", {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bad preset parameter 'p'$"):
         parse_preset("constant:p")
 
 

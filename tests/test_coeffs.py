@@ -71,6 +71,12 @@ def test_load_explicit_triple():
     assert c.w.at(2) == -1
 
 
+def test_load_takes_a_parsed_document_as_its_json_text():
+    for doc in ({"p": [1, 2, 1], "q": [0, 1, 0], "w": [1, -1]},
+                {"preset": {"name": "random", "length": 6, "seed": 2}}):
+        assert load_coefficients(doc) == load_coefficients(json.dumps(doc))
+
+
 def test_load_rejects_nonpositive_p_with_index():
     with pytest.raises(ValidationError, match=r"p\(1\) not strictly positive"):
         load_coefficients('{"p": [1, 0, 1], "q": [0, 0, 0], "w": [1, 1]}')
@@ -265,6 +271,7 @@ def test_real_and_complex_sequences_compare_and_hash_alike():
     assert hash(real) == hash(cplx)
     assert Sequence(0, [1.0, 2.0]) != Sequence(0, [1.0, 2 + 1e-300j])
     assert Sequence(0, [1.0]) != Sequence(1, [1 + 0j])
+    assert (Sequence(0, [1.0]) == 1) is False
 
 
 @pytest.mark.parametrize("name", ["p", "q", "w"])

@@ -11,6 +11,8 @@ from leftdef import (
     apply_L,
     bound_constants,
     cauchy_diagnostics,
+    check_lemma1,
+    check_lemma2,
     finite_section,
     greens_identity_residual,
     h1_inner,
@@ -19,6 +21,7 @@ from leftdef import (
     product_rule_residual,
     recurrence,
     solve_recurrence,
+    summation_by_parts_residual,
     wronskian,
     wronskian_constancy_report,
     wronskian_sequence,
@@ -240,8 +243,8 @@ class TestWronskian:
             assert (value.real.hex(), value.imag.hex()) == (ref.real.hex(), ref.imag.hex())
 
 
-def coeffs_of(p_len, q_len, w_len):
-    return CoefficientSet(p=Sequence(0, np.ones(p_len)), q=Sequence(0, np.zeros(q_len)),
+def coeffs_of(p_len, q_len, w_len, q=0.0):
+    return CoefficientSet(p=Sequence(0, np.ones(p_len)), q=Sequence(0, np.full(q_len, q)),
                           w=Sequence(1, np.ones(w_len)))
 
 
@@ -279,10 +282,32 @@ def short_residual_ratio():
      "family members must share the window"),
     (lambda: Sequence(0, np.ones(4)).at(np.int64(-1)),
      r"sequence window \[0, 4\) does not cover -1\.\.-1"),
+    # Without its guard, each of the next six reads a fill value or a
+    # truncated sum, or names the wrong window.
+    (lambda: bound_constants(CoefficientSet(Sequence(0, np.ones(10)), Sequence(0, [0.0, 1.0, 1.0]),
+                                            Sequence(1, np.ones(10))), 5),
+     r"q window \[0, 3\) does not cover 1\.\.5"),
+    (lambda: check_lemma1(Sequence(0, np.ones(3)), Sequence(0, np.arange(8.0)), 1, 5),
+     r"p window \[0, 3\) does not cover 1\.\.6"),
+    (lambda: check_lemma1(Sequence(1, np.ones(10)), Sequence(0, np.arange(8.0)), 0, 3),
+     r"p window \[1, 11\) does not cover 0\.\.2"),
+    (lambda: check_lemma2(coeffs_of(3, 12, 12, q=1.0), Sequence(0, np.arange(10.0)), 1, 5),
+     r"p window \[0, 3\) does not cover 1\.\.5"),
+    (lambda: check_lemma2(coeffs_of(12, 12, 12, q=1.0), Sequence(0, np.arange(4.0)), 1, 5),
+     r"u window \[0, 4\) does not cover 1\.\.5"),
+    (lambda: check_lemma2(coeffs_of(6, 12, 12, q=1.0), Sequence(0, np.arange(10.0)), 1, 5),
+     r"p window \[0, 6\) does not cover 1\.\.8"),
+    (lambda: apply_L(coeffs_of(12, 12, 12), Sequence(0, [1.0, 2.0])),
+     "insufficient window to apply L at any interior index"),
+    (lambda: summation_by_parts_residual(Sequence(0, np.arange(6.0)), Sequence(1, np.arange(6.0)),
+                                         1, 3),
+     "sequences must share offset and length"),
 ], ids=["finite_section", "solve_recurrence", "wronskian", "solution_residual_ratio",
         "greens_identity_residual", "bound_constants", "apply_L", "wronskian_sequence",
         "product_rule_residual", "h1_inner-offset", "h1_inner-lengths", "h1_norm",
-        "cauchy_diagnostics", "negative-index"])
+        "cauchy_diagnostics", "negative-index", "bound_constants-q", "check_lemma1-energy",
+        "check_lemma1-n-to-m", "check_lemma2-p-to-r", "check_lemma2-u", "check_lemma2-energy",
+        "apply_L-short-u", "summation_by_parts_residual-aligned"])
 def test_window_error_names_the_short_sequence(call, message):
     with pytest.raises(WindowError, match=f"^{message}$"):
         call()

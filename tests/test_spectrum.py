@@ -588,6 +588,17 @@ def test_pencil_guesses_need_one_count(monkeypatch):
     assert res.eigenvalues[2] == pytest.approx(0.30002754750318, rel=1e-12)
 
 
+@pytest.mark.parametrize("window", [(-3.0, 3.0), (-1.0, 2.0)])
+def test_guesses_on_the_window_ends_add_no_point(window):
+    # Only a guess strictly inside the window is counted, so guesses at its
+    # ends leave the answer as it is without guesses, brackets included.
+    c = make_preset("random", length=20, rng_seed=3)
+    plain = eigen_shooting(c, 12, *window)
+    ends = eigen_shooting(c, 12, *window, guesses=list(window))
+    assert plain.brackets
+    assert ends == plain
+
+
 # A tiny weight, small weights next to a zero, a B clipped to the largest
 # double, and no nonzero weight (B = 1).
 @pytest.mark.parametrize("w", [[1.0, 1e-300, -1.0], [1e-30, -2.0, 3.0, 0.0],

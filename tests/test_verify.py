@@ -273,6 +273,16 @@ def test_block_campaigns_match_case_by_case_reference(name, cases):
     assert r.worst == max((float(ratio) for ratio, _ in got), default=0.0) <= 1.0
 
 
+def test_failure_rules_pass_at_equality():
+    # A case fails only past its bound: a residual ratio of exactly 1 and
+    # lhs == rhs + slack both pass.
+    ratio, failed = verify._residual_block(np.array([RESIDUAL_TOL]), np.array([1.0]))
+    assert ratio.tolist() == [1.0] and failed.tolist() == [False]
+    lhs, rhs = np.array([0.5 + 1e-12]), np.array([0.5])
+    assert lhs == rhs + verify._slack(lhs, rhs)
+    assert verify._excess(lhs, rhs)[1].tolist() == [False]
+
+
 def test_empty_campaign():
     for name in ("wronskian-constancy", "solver-consistency"):
         r = run_campaign(name, 0, 0)
