@@ -94,7 +94,8 @@ def _write(args, doc, header: str, rows):
     """Print ``json.dumps(doc())``, or the CSV line `header` and the lines ``rows()``.
 
     `doc` and `rows` are zero-argument callables, and only the one that
-    ``--format`` asks for is called, so the other form is never built.
+    ``--format`` asks for is called, so the other form is never built.  An
+    item of ``rows()`` may hold several lines joined by newlines.
     """
     if args.format == "json":
         text = json.dumps(doc()) + "\n"
@@ -111,19 +112,31 @@ def _complex(seq: Sequence):
     return zip(range(seq.offset, seq.end), seq.values.real.tolist(), seq.values.imag.tolist())
 
 
+def _table(offset: int, *columns) -> str:
+    """The CSV lines ``n,<cell>,...`` for n = offset, offset + 1, ..., with
+    cells ``%.17g`` from the equal-length float arrays `columns`, joined by
+    newlines.  One ``%`` on a repeated row template formats every line at
+    once: the bytes of an f-string per row in a fraction of the time."""
+    k, rows = len(columns) + 1, len(columns[0])
+    cells = [0] * (k * rows)
+    cells[0::k] = range(offset, offset + rows)
+    for j, column in enumerate(columns, 1):
+        cells[j::k] = column.tolist()
+    return "\n".join(["%d" + ",%.17g" * len(columns)] * rows) % tuple(cells)
+
+
 def _write_sequence(args, seq: Sequence, name: str):
     """Write `seq` as rows `n,<name>` with JSON numbers or, when any entry is
     complex, as rows `n,re,im` with JSON pairs ``[re, im]``."""
     if np.any(seq.values.imag != 0.0):
         _write(args, lambda: {"offset": seq.offset,
                               name: [{"n": n, "value": [re, im]} for n, re, im in _complex(seq)]},
-               "n,re,im", lambda: (f"{n},{re:.17g},{im:.17g}" for n, re, im in _complex(seq)))
+               "n,re,im", lambda: [_table(seq.offset, seq.values.real, seq.values.imag)])
     else:
-        def real():
-            return enumerate(seq.values.real.tolist(), seq.offset)
         _write(args, lambda: {"offset": seq.offset,
-                              name: [{"n": n, "value": v} for n, v in real()]},
-               f"n,{name}", lambda: (f"{n},{v:.17g}" for n, v in real()))
+                              name: [{"n": n, "value": v} for n, v in
+                                     enumerate(seq.values.real.tolist(), seq.offset)]},
+               f"n,{name}", lambda: [_table(seq.offset, seq.values.real)])
 
 
 def _init_from_args(args):
@@ -165,8 +178,8 @@ def cmd_wronskian(args):
     rep = wronskian_constancy_report(coeffs, phi, theta)
 
     def rows():
-        yield from (f"{n},{re:.17g},{im:.17g}" for n, re, im in _complex(w))
-        yield f"constancy,{rep.lhs:.17g},{'holds' if rep.holds else 'FAILS'}"
+        return [_table(w.offset, w.values.real, w.values.imag),
+                f"constancy,{rep.lhs:.17g},{'holds' if rep.holds else 'FAILS'}"]
 
     _write(args, lambda: {
         "wronskian": [{"n": n, "value": [re, im]} for n, re, im in _complex(w)],

@@ -83,6 +83,17 @@ def _rows(a: np.ndarray) -> list:
     return a.tolist() if a.ndim == 1 else list(a)
 
 
+def _real_loop(c, pm, inv, u01) -> list:
+    """Rows u(0..N+1) of the real recurrence u(n+1) = (c(n) u(n) - p(n-1) u(n-1)) / p(n)
+    from the real initial rows u01, with pm = p(0..N-1) and inv = 1/p(1..N)."""
+    v, u = _rows(u01)
+    out = [v, u]
+    for ck, pk, ik in zip(c, pm, inv):
+        v, u = u, (ck * u - pk * v) * ik
+        out.append(u)
+    return out
+
+
 def recurrence(pv, qv, wv, lam, u0, u1) -> np.ndarray:
     """Solutions u(0..N+1) of L u = lam w u from u(0) = u0 and u(1) = u1.
 
@@ -95,11 +106,20 @@ def recurrence(pv, qv, wv, lam, u0, u1) -> np.ndarray:
 
         u(n+1) = (c(n) u(n) - p(n-1) u(n-1)) / p(n).
 
-    The complex products are written out in real arithmetic, one rounding
-    per operation whatever the array shape (numpy's vectorized complex
-    multiply may fuse a product and a sum), and the division multiplies by
-    1/p(n) as complex128 division by a real does.  So every column equals
-    its own 0-d call bit for bit.  p must be positive; no rescaling is
+    When no entry of c has a nonzero imaginary part (every lam real, as
+    every eigenvalue of the left-definite problem is), the recurrence is
+    real and runs in real arithmetic: once on the real parts of the initial
+    data, and once more on their imaginary parts only if any is nonzero.
+    Otherwise the complex products are written out in real arithmetic, one
+    rounding per operation whatever the array shape (numpy's vectorized
+    complex multiply may fuse a product and a sum).  Both loops divide by
+    multiplying with 1/p(n), as complex128 division by a real does, so
+    every column equals its own 0-d call bit for bit.  A real c's zero
+    imaginary part adds only signed zeros to the complex loop's sums, so
+    the two loops give equal values that differ at most in the sign of a
+    zero; the closing ``u += 0.0`` turns every -0.0 into +0.0, after which
+    they agree bit for bit and a block that mixes real and complex lambdas
+    matches its columns solved alone.  p must be positive; no rescaling is
     applied, and non-finite growth in any column raises SolverOverflowError.
     """
     pv, qv, wv = (np.asarray(x, dtype=float) for x in (pv, qv, wv))
@@ -113,18 +133,25 @@ def recurrence(pv, qv, wv, lam, u0, u1) -> np.ndarray:
                   for x in (pv, qv, wv))
     c = pv[1:] + pv[:-1] + qv - lam * wv
     u01 = np.stack([np.broadcast_to(np.asarray(x, dtype=complex), shape) for x in (u0, u1)])
-    vr, ur = _rows(u01.real)
-    vi, ui = _rows(u01.imag)
-    re, im = [vr, ur], [vi, ui]
+    pm, inv = _rows(pv[:-1]), _rows(1.0 / pv[1:])
+    u = np.zeros((N + 2,) + shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for cr, ci, pm, inv in zip(_rows(np.real(c)), _rows(np.imag(c)),
-                                   _rows(pv[:-1]), _rows(1.0 / pv[1:])):
-            vr, vi, ur, ui = (ur, ui, ((cr * ur - ci * ui) - pm * vr) * inv,
-                              ((cr * ui + ci * ur) - pm * vi) * inv)
-            re.append(ur)
-            im.append(ui)
-    u = np.empty((N + 2,) + shape, dtype=complex)
-    u.real, u.imag = re, im
+        if not np.any(np.imag(c)):
+            cr = _rows(np.real(c))
+            u.real = _real_loop(cr, pm, inv, u01.real)
+            if np.any(u01.imag):
+                u.imag = _real_loop(cr, pm, inv, u01.imag)
+        else:
+            vr, ur = _rows(u01.real)
+            vi, ui = _rows(u01.imag)
+            re, im = [vr, ur], [vi, ui]
+            for cr, ci, pk, ik in zip(_rows(np.real(c)), _rows(np.imag(c)), pm, inv):
+                vr, vi, ur, ui = (ur, ui, ((cr * ur - ci * ui) - pk * vr) * ik,
+                                  ((cr * ui + ci * ur) - pk * vi) * ik)
+                re.append(ur)
+                im.append(ui)
+            u.real, u.imag = re, im
+        u += 0.0
     bad = ~np.all(np.isfinite(u), axis=0)
     if np.any(bad):
         col = tuple(np.argwhere(bad)[0].tolist())

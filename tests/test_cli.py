@@ -14,6 +14,7 @@ from leftdef.cli import main, parse_preset
 from leftdef.coeffs import Sequence, make_preset
 from leftdef.operators import (
     InitKind,
+    Solution,
     apply_L,
     solve_recurrence,
     wronskian_constancy_report,
@@ -568,6 +569,53 @@ def test_wronskian_round_trip(capsys):
     assert hexes(e["value"][0] for e in doc["wronskian"]) == hexes(w.values.real)
     assert hexes(e["value"][1] for e in doc["wronskian"]) == hexes(w.values.imag)
     assert doc["constancy"] == {"max_drift": rep.lhs, "bound": rep.rhs, "holds": rep.holds}
+
+
+EDGE_CELLS = [-0.0, 5e-324, 1e308, -1e308, 0.1, 0.0, -2.5]
+
+
+def fstring_csv(header, seq, footer=()):
+    """The CSV text of the writer that formatted each row with an f-string."""
+    values = seq.values
+    if np.iscomplexobj(values):
+        rows = [f"{n},{z.real:.17g},{z.imag:.17g}" for n, z in enumerate(values, seq.offset)]
+    else:
+        rows = [f"{n},{v:.17g}" for n, v in enumerate(values, seq.offset)]
+    return "\n".join([header, *rows, *footer]) + "\n"
+
+
+def complex_edge_cells():
+    return np.array(EDGE_CELLS) + 1j * np.array(EDGE_CELLS[::-1])
+
+
+@pytest.mark.parametrize("command, offset, name", [("solve", 0, "u"), ("apply", 1, "Lu")])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_sequence_csv_bytes(tmp_path, capsys, monkeypatch, command, offset, name, is_complex):
+    seq = Sequence(offset, complex_edge_cells() if is_complex else np.array(EDGE_CELLS))
+    monkeypatch.setattr(cli, "solve_recurrence", lambda *args: Solution(0j, seq))
+    monkeypatch.setattr(cli, "apply_L", lambda *args: seq)
+    argv = {"solve": ("solve", *RANDOM, "--lambda", "1", "--u0", "0", "--u1", "1", "--n", "5"),
+            "apply": ("apply", *RANDOM, "--u", "0,1,2")}[command]
+    want = fstring_csv("n,re,im" if is_complex else f"n,{name}", seq)
+    assert run_cli(capsys, *argv) == (0, want, "")
+    out = tmp_path / "out.csv"
+    assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == want.encode()
+
+
+def test_wronskian_csv_bytes(tmp_path, capsys, monkeypatch):
+    w = Sequence(0, complex_edge_cells())
+    monkeypatch.setattr(cli, "wronskian_sequence", lambda *args: w)
+    c = random_coeffs()
+    rep = wronskian_constancy_report(c, solve_recurrence(c, 0.3 + 0j, VP, 1 + 0j, 1 + 0j, 15),
+                                     solve_recurrence(c, 0.3 + 0j, VP, 0j, 1 + 0j, 15))
+    footer = [f"constancy,{rep.lhs:.17g},{'holds' if rep.holds else 'FAILS'}"]
+    want = fstring_csv("n,re,im", w, footer)
+    argv = ("wronskian", *RANDOM, "--lambda", "0.3", "--n", "15")
+    assert run_cli(capsys, *argv) == (0, want, "")
+    out = tmp_path / "out.csv"
+    assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == want.encode()
 
 
 def test_spectrum_both_round_trip(capsys):

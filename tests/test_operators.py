@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leftdef import (
     CoefficientSet,
@@ -181,6 +183,75 @@ class TestRecurrence:
             recurrence(np.ones(5), np.zeros(4), np.ones(3), 1.0, 0.0, 1.0)
         with pytest.raises(WindowError):
             recurrence(np.ones(1), np.zeros(0), np.ones(0), 1.0, 0.0, 1.0)
+
+
+def complex_loop(pv, qv, wv, lam, u0, u1):
+    """`recurrence`'s complex loop with its broadcasting and no canonicalising
+    step: the reference that a real lambda's real loop is held to."""
+    c = pv[1:] + pv[:-1] + qv - lam * wv
+    shape = np.broadcast_shapes(c.shape[1:], np.shape(u0), np.shape(u1))
+    vr, ur = (np.broadcast_to(np.real(x), shape) for x in (u0, u1))
+    vi, ui = (np.broadcast_to(np.imag(x), shape) for x in (u0, u1))
+    re, im = [vr, ur], [vi, ui]
+    for cr, ci, pm, inv in zip(np.real(c), np.imag(c), pv[:-1], 1.0 / pv[1:]):
+        vr, vi, ur, ui = (ur, ui, ((cr * ur - ci * ui) - pm * vr) * inv,
+                          ((cr * ui + ci * ur) - pm * vi) * inv)
+        re.append(ur)
+        im.append(ui)
+    u = np.empty((len(c) + 2,) + shape, dtype=complex)
+    u.real, u.imag = re, im
+    return u
+
+
+def assert_canonical_reference(u, ref):
+    """u equals ref by == on both parts, bit for bit once ref's zeros are
+    +0.0, and holds no -0.0."""
+    assert np.array_equal(u.real, ref.real) and np.array_equal(u.imag, ref.imag)
+    assert u.tobytes() == (ref + 0.0).tobytes()
+    parts = u.view(float)
+    assert not np.any((parts == 0.0) & np.signbit(parts))
+
+
+small = st.floats(-2.0, 2.0)
+initial_data = st.one_of(small.map(complex), st.builds(complex, small, small))
+
+
+@settings(max_examples=80, deadline=None)
+@example(N=12, seed=0, lam=9.5, kind=InitKind.VALUE_PAIR, a=0j, b=0j)
+@example(N=12, seed=1, lam=-9.5, kind=InitKind.VALUE_AND_QUASIDERIVATIVE, a=0j, b=0j)
+@example(N=5, seed=2, lam=0.5, kind=InitKind.VALUE_PAIR, a=-0.0 + 0j, b=1 - 0.0j)
+@example(N=5, seed=3, lam=1.25, kind=InitKind.VALUE_PAIR, a=1 + 0j, b=0.5j)
+@given(N=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), lam=st.floats(-10.0, 10.0),
+       kind=st.sampled_from(list(InitKind)), a=initial_data, b=initial_data)
+def test_real_lambda_equals_complex_loop(N, seed, lam, kind, a, b):
+    # A real lambda runs the real loop, as a float and as a complex with zero
+    # imaginary part; real, complex and zero initial data, both kinds.
+    p, q, w = random_columns(np.random.default_rng(seed), N, 1)
+    c = column_coeffs(p, q, w, 0)
+    pv, qv, wv = c.p.window(0, N), c.q.window(1, N), c.w.window(1, N)
+    u1, u0 = (b, a) if kind is InitKind.VALUE_PAIR else (a, a - b / pv[0])
+    ref = complex_loop(pv, qv, wv, lam, u0, u1)
+    for lam_in in (lam, complex(lam)):
+        assert_canonical_reference(solve_recurrence(c, lam_in, kind, a, b, N).values.values, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@example(B=3, seed=0, zero=True)
+@given(B=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), zero=st.booleans())
+def test_real_lambda_block_equals_complex_loop(B, seed, zero):
+    # The (N+2, 2, B) blocks of the Wronskian and solver-consistency campaigns;
+    # with `zero`, phi is the zero solution in every column.
+    rng = np.random.default_rng(seed)
+    N = 60
+    p, q, w = (rng.uniform(lo, hi, (N + 1, B)) for lo, hi in ((1.0, 2.0), (0.0, 0.5), (-0.5, 0.5)))
+    lam = rng.uniform(-10.0, 10.0, B)
+    init = rng.uniform(-1.0, 1.0, (4, B)) + 1j * rng.uniform(-1.0, 1.0, (4, B))
+    if zero:
+        init[:2] = 0.0
+    args = (p[:, None], q[1:, None], w[:-1, None], lam, init[0::2], init[1::2])
+    u = recurrence(*args)
+    assert u.shape == (N + 2, 2, B)
+    assert_canonical_reference(u, complex_loop(*args))
 
 
 class TestWronskian:

@@ -51,6 +51,11 @@ def commands(tmp: Path):
         ("solve", *RANDOM, "--lambda", "1.5+0.5j", "--u0", "1", "--u1", "0.5j", "--n", "10"),
         ("solve", *RANDOM, "--lambda", "-2", "--u1", "1", "--pdu0", "3", "--n", "12"),
         ("solve", *long_window, "--lambda", "0.7", "--u0", "0", "--u1", "1", "--n", "1990"),
+        # a real lambda with complex data runs the real loop twice; the zero
+        # solution at a lambda that makes c(n) negative prints no -0
+        ("solve", *RANDOM, "--lambda", "1.5", "--u0", "1", "--u1", "0.5j", "--n", "10"),
+        ("solve", *RANDOM, "--lambda", "50", "--u0", "0", "--u1", "0", "--n", "10"),
+        ("solve", *long_window, "--lambda", "0.7", "--u0", "0.5", "--u1", "1j", "--n", "1990"),
         ("apply", *RANDOM, "--u", "1+2j,0,3-1j,4,5j,-0.0"),
         ("apply", *RANDOM, "--u", "0.1,-2.5,1e-300,7,1e300,3"),
         ("wronskian", *RANDOM, "--lambda", "0.3-1j", "--n", "15"),
