@@ -4,17 +4,21 @@ Each campaign draws a fixed number of random cases from a deterministic RNG
 and reports its failed cases and `worst`, the largest per-case ratio
 (residual / tolerance, (lhs - rhs) / slack, or drift / bound): a case fails
 when its ratio passes 1, and `worst` is 0 when there are no cases.
-A campaign is a per-case ``draw(rng)``, which returns the case's row of
-scalars and its list of 1-d arrays, plus a block check registered with
-``@_campaign(name, draw, solve=...)``.  One loop, `_blocks`, draws the cases
-one by one in a fixed order, cuts them into blocks of `BLOCK` cases and pads
-each block's arrays with zeros along axis 0 (`_padded`); an optional `solve`
-turns the block into what the check reads.  The check takes one array pass
-per block, each column over its own length, and returns the per-case arrays
-(ratio, failed); `_tally` alone reduces them.  The Wronskian and
-solver-consistency campaigns share the source (`_tame_case`, `_solve_tame`):
-run alone, each draws and solves its blocks for its own check, and `run_all`
-draws and solves each block once for both.
+A campaign is a block draw ``draw(rng, count)`` plus a block check
+registered with ``@_campaign(name, draw, solve=...)``.  One loop, `_blocks`,
+cuts the cases into blocks of at most `BLOCK` cases and draws each block in
+one call; an optional `solve` turns the block into what the check reads.
+The check takes one array pass per block, each column over its own length,
+and returns the per-case arrays (ratio, failed); `_tally` alone reduces
+them.  Every draw takes the stream case after case, so drawing a cases and
+then b cases equals drawing a + b.  Six campaigns draw each case as a row
+of scalars and 1-d arrays of varying length; `_per_case` turns that into a
+block draw, the rows as columns and the arrays zero-padded (`_padded`).
+The Wronskian and solver-consistency campaigns share the source
+(`_tame_block`, `_solve_tame`) of N = 200 cases: one `rng.uniform` call
+draws a block and one real recurrence pass solves it.  Run alone, each
+draws and solves its blocks for its own check, and `run_all` draws and
+solves each block once for both.
 The CLI `verify` subcommand and the acceptance tests both run these.
 """
 
@@ -46,10 +50,10 @@ _SOURCES = {}   # (draw, solve) -> {name: check} of the campaigns that read its 
 
 
 # Cases per array pass.  A block of 32 keeps the working set of a solved
-# recurrence block (phi and theta, complex of length N + 2 = 202 per case,
-# and the temporaries of one check at a time) near 1.5 MB; blocks of 50 run
-# about 20% faster there but grow peak RSS by about 2.5 MB over solving case
-# by case.
+# recurrence block (its real solutions, 4 x 202 doubles per case, the complex
+# phi and theta assembled from them, and the temporaries of one check at a
+# time) near 1.6 MB; blocks of 64 run about 5% faster but grow peak RSS by
+# about 2 MB, and blocks of 128 by about 6.5 MB.
 BLOCK = 32
 
 
@@ -66,14 +70,23 @@ def _padded(draws) -> np.ndarray:
     return out.transpose(1, 2, 0).copy()
 
 
+def _per_case(case):
+    """The block draw ``draw(rng, count)`` of a per-case draw ``case(rng)``,
+    which returns one case's row of scalars and its list of 1-d arrays: the
+    pair (columns, arrays) of `count` cases drawn one by one, their rows as
+    one column per scalar and their arrays `_padded`."""
+    def draw(rng, count: int):
+        rows, draws = zip(*[case(rng) for _ in range(count)])
+        return np.array(rows).T, _padded(draws)
+    return draw
+
+
 def _blocks(source, rng, cases: int):
     """The blocks of `cases` cases of source = (draw, solve): each is
-    ``solve(columns, arrays)`` of at most `BLOCK` draws, their rows as one
-    column per scalar and their arrays `_padded`."""
+    ``solve(draw(rng, count))`` of the next count <= `BLOCK` cases."""
     draw, solve = source
     for start in range(0, cases, BLOCK):
-        rows, draws = zip(*[draw(rng) for _ in range(min(BLOCK, cases - start))])
-        yield solve(np.array(rows).T, _padded(draws))
+        yield solve(draw(rng, min(BLOCK, cases - start)))
 
 
 def _tally(checks: dict, source, seed: int, cases: int) -> dict:
@@ -92,13 +105,14 @@ def _tally(checks: dict, source, seed: int, cases: int) -> dict:
             for name in checks}
 
 
-def _campaign(name: str, draw, solve=lambda *block: block):
+def _campaign(name: str, draw, solve=lambda block: block):
     """Register the campaign `name`, whose check is the decorated function:
-    it maps each block of the source (draw, solve), see `_blocks`, to the
-    per-case arrays (ratio, failed).  The registered function takes (seed,
-    cases), computes this check only and replaces the check under its
-    module-level name; its ``blocks(rng, cases)`` yields the pairs block by
-    block.  `run_all` applies all checks of one source to each of its blocks."""
+    it maps each block of the source (draw, solve), see `_blocks`, unpacked
+    into its arguments, to the per-case arrays (ratio, failed).  The
+    registered function takes (seed, cases), computes this check only and
+    replaces the check under its module-level name; its
+    ``blocks(rng, cases)`` yields the pairs block by block.  `run_all`
+    applies all checks of one source to each of its blocks."""
     source = (draw, solve)
 
     def register(check):
@@ -143,7 +157,7 @@ def _product_rule_case(rng):
     return (n,), [*rng.uniform(-10.0, 10.0, (4, n))]   # Re f, Im f, Re g, Im g
 
 
-@_campaign("product-rule", _product_rule_case)
+@_campaign("product-rule", _per_case(_product_rule_case))
 def product_rule_campaign(cols, parts):
     f, g, scale = _pair_block(parts)
     return _residual_block(_product_rule(f, g, cols[0]), scale)
@@ -156,7 +170,7 @@ def _summation_by_parts_case(rng):
     return (j, int(rng.integers(j, n - 1))), [*parts]
 
 
-@_campaign("summation-by-parts", _summation_by_parts_case)
+@_campaign("summation-by-parts", _per_case(_summation_by_parts_case))
 def summation_by_parts_campaign(cols, parts):
     f, g, scale = _pair_block(parts)
     return _residual_block(_summation_by_parts(f, g, *cols), scale)
@@ -168,7 +182,7 @@ def _greens_identity_case(rng):
                   *rng.uniform(-10.0, 10.0, (4, N + 2))]      # Re u, Im u, Re v, Im v
 
 
-@_campaign("greens-identity", _greens_identity_case)
+@_campaign("greens-identity", _per_case(_greens_identity_case))
 def greens_identity_campaign(cols, arrays):
     p, *parts = arrays
     u, v = _complex_pairs(parts)
@@ -177,34 +191,47 @@ def greens_identity_campaign(cols, arrays):
     return _residual_block(_greens_identity(p[:-1], u, v, cols[0]), scale)
 
 
-def _tame_case(rng):
-    """A random instance with moderate recurrence growth, the case of the
-    Wronskian and solver-consistency campaigns: p, q on 0..N and w on
-    1..N+1, a real lambda, and four complex initial values, (u(0), u(1)) of
-    phi and of theta, drawn as their real and then their imaginary parts,
-    with N = 200."""
-    pqw = [rng.uniform(lo, hi, 201) for lo, hi in ((1.0, 2.0), (0.0, 0.5), (-0.5, 0.5))]
-    return (rng.uniform(-10.0, 10.0),), pqw + [*rng.uniform(-1.0, 1.0, (2, 4))]
+# The bounds of each entry of a tame case's row, in draw order: p and q on
+# 0..N and w on 1..N+1 with N = 200, a real lambda, then the real and the
+# imaginary parts of (u(0), u(1)) of phi and of theta.
+_TAME_LO, _TAME_HI = (np.repeat(ends, [201, 201, 201, 1, 8]) for ends in
+                      zip((1.0, 2.0), (0.0, 0.5), (-0.5, 0.5), (-10.0, 10.0), (-1.0, 1.0)))
 
 
-def _solve_tame(cols, arrays):
-    """((pv, qv, wv, lam), u) of a block of `_tame_case` draws: p(0..N),
+def _tame_block(rng, count: int):
+    """`count` random instances with moderate recurrence growth, the cases of
+    the Wronskian and solver-consistency campaigns, as one row per case.
+    numpy's per-entry `random_uniform` draws each entry as
+    lo + (hi - lo) * next_double in C order, so one call with per-entry
+    bounds takes the stream and gives the values, bit for bit, of one call
+    per array of each case."""
+    return rng.uniform(_TAME_LO, _TAME_HI, (count, _TAME_LO.size))
+
+
+def _solve_tame(draws):
+    """((pv, qv, wv, lam), u) of a block of `_tame_block` rows: p(0..N),
     q(1..N) and w(1..N) of shape (len, 1, B), lam of shape (B,), and the
-    solutions u of shape (N+2, 2, B) with phi and theta on axis 1."""
-    p, q, w, re, im = arrays
-    init = re[:4] + 1j * im[:4]
-    args = (p[:, None], q[1:, None], w[:-1, None], cols[0])
-    return args, recurrence(*args, init[0::2], init[1::2])
+    solutions u of shape (N+2, 2, B) with phi and theta on axis 1.  The
+    recurrence is real, so one real pass solves the real and the imaginary
+    parts of the initial data together, on axis 1 of its (N+2, 2, 2, B)
+    result; re + 1j * im rounds nothing, so u is the complex solve bit for
+    bit."""
+    x = draws.T.copy()   # entry on axis 0; a contiguous copy runs the passes ~10% faster
+    p, q, w = x[:603].reshape(3, 201, -1)
+    init = x[604:].reshape(2, 4, -1)   # parts of phi(0), phi(1), theta(0), theta(1)
+    args = (p[:, None], q[1:, None], w[:-1, None], x[603])
+    parts = recurrence(*args, init[:, 0::2], init[:, 1::2]).real
+    return args, parts[:, 0] + 1j * parts[:, 1]
 
 
-@_campaign("wronskian-constancy", _tame_case, _solve_tame)
+@_campaign("wronskian-constancy", _tame_block, _solve_tame)
 def wronskian_campaign(args, u):
     """Drift of the Wronskian of phi and theta over each case's window."""
     drift, bound = _wronskian_drift(args[0], u[:, :1], u[:, 1:])
     return drift / bound, drift > bound
 
 
-@_campaign("solver-consistency", _tame_case, _solve_tame)
+@_campaign("solver-consistency", _tame_block, _solve_tame)
 def solver_consistency_campaign(args, u):
     """Residual of apply_L(u) = lam w u for phi and theta of each case, on
     the solved blocks that the Wronskian check reads too: one entry per
@@ -257,7 +284,7 @@ def _lemma1_case(rng):
     return (length, n, int(rng.integers(n, length - 1))), arrays
 
 
-@_campaign("lemma1", _lemma1_case)
+@_campaign("lemma1", _per_case(_lemma1_case))
 def lemma1_campaign(cols, arrays):
     length, n, m = cols
     (p,), u = _supported(arrays)
@@ -265,19 +292,21 @@ def lemma1_campaign(cols, arrays):
 
 
 def _coefficient_case(rng) -> tuple:
-    """The row (length, b) and the arrays q, p, w and u(1..length-3) of one
+    """The row (length, b) and the arrays q, p and u(1..length-3) of one
     lemma2 or pointwise-bound case: q(b) gets 0.5 more, so that q has a
-    positive entry past index 0."""
+    positive entry past index 0.  A weight w is drawn between p and u, and
+    dropped, to keep the settled draw order; neither lemma reads w."""
     length = int(rng.integers(8, 60))
     q = rng.uniform(0.0, 5.0, length)
     bump = 1 + int(rng.integers(0, length - 1))
-    return (length, bump), [q, rng.uniform(0.1, 10.0, length), rng.uniform(-5.0, 5.0, length),
-                            *rng.uniform(-10.0, 10.0, (2, length - 3))]
+    p = rng.uniform(0.1, 10.0, length)
+    rng.uniform(-5.0, 5.0, length)
+    return (length, bump), [q, p, *rng.uniform(-10.0, 10.0, (2, length - 3))]
 
 
 def _coefficient_block(length, bump, arrays):
     """p, q and u of a block of `_coefficient_case` draws."""
-    (q, p, _), u = _supported(arrays)
+    (q, p), u = _supported(arrays)
     q[bump, np.arange(len(bump))] += 0.5
     return _positive_padding(p, length), q, u
 
@@ -287,7 +316,7 @@ def _lemma2_case(rng):
     return row + (int(rng.integers(1, row[0])),), arrays   # m in 1..r
 
 
-@_campaign("lemma2", _lemma2_case)
+@_campaign("lemma2", _per_case(_lemma2_case))
 def lemma2_campaign(cols, arrays):
     length, bump, m = cols
     p, q, u = _coefficient_block(length, bump, arrays)
@@ -300,7 +329,7 @@ def _pointwise_bound_case(rng):
     return row + (N, int(rng.integers(1, N + 1))), arrays
 
 
-@_campaign("pointwise-bound", _pointwise_bound_case)
+@_campaign("pointwise-bound", _per_case(_pointwise_bound_case))
 def pointwise_bound_campaign(cols, arrays):
     length, bump, N, m = cols
     p, q, u = _coefficient_block(length, bump, arrays)

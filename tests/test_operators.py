@@ -239,8 +239,11 @@ def test_real_lambda_equals_complex_loop(N, seed, lam, kind, a, b):
 @example(B=3, seed=0, zero=True)
 @given(B=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), zero=st.booleans())
 def test_real_lambda_block_equals_complex_loop(B, seed, zero):
-    # The (N+2, 2, B) blocks of the Wronskian and solver-consistency campaigns;
-    # with `zero`, phi is the zero solution in every column.
+    # The blocks of the Wronskian and solver-consistency campaigns: phi and
+    # theta on axis 1 of (N+2, 2, B) from complex initial data, and from their
+    # real and imaginary parts as one more real axis, (N+2, 2, 2, B), which is
+    # how the campaigns solve them; with `zero`, phi is the zero solution in
+    # every column.
     rng = np.random.default_rng(seed)
     N = 60
     p, q, w = (rng.uniform(lo, hi, (N + 1, B)) for lo, hi in ((1.0, 2.0), (0.0, 0.5), (-0.5, 0.5)))
@@ -248,10 +251,17 @@ def test_real_lambda_block_equals_complex_loop(B, seed, zero):
     init = rng.uniform(-1.0, 1.0, (4, B)) + 1j * rng.uniform(-1.0, 1.0, (4, B))
     if zero:
         init[:2] = 0.0
-    args = (p[:, None], q[1:, None], w[:-1, None], lam, init[0::2], init[1::2])
+    coeffs = (p[:, None], q[1:, None], w[:-1, None], lam)
+    args = coeffs + (init[0::2], init[1::2])
     u = recurrence(*args)
     assert u.shape == (N + 2, 2, B)
     assert_canonical_reference(u, complex_loop(*args))
+    parts = np.stack([init.real, init.imag])
+    real_args = coeffs + (parts[:, 0::2], parts[:, 1::2])
+    r = recurrence(*real_args)
+    assert r.shape == (N + 2, 2, 2, B)
+    assert_canonical_reference(r, complex_loop(*real_args))
+    assert (r.real[:, 0] + 1j * r.real[:, 1]).tobytes() == u.tobytes()
 
 
 class TestWronskian:

@@ -62,6 +62,33 @@ def test_batched_campaigns_match_case_by_case_reference(cases):
         assert (r.failures, r.worst) == (failures, worst)
 
 
+def tame_cases(rng, count):
+    """`count` rows of the Wronskian and solver-consistency source drawn case
+    by case, one `rng.uniform` call per array as `reference_campaigns` does:
+    p, q, w, lambda, then the real and the imaginary parts of the four
+    initial values."""
+    rows = []
+    for _ in range(count):
+        pqw = [rng.uniform(lo, hi, 201) for lo, hi in ((1.0, 2.0), (0.0, 0.5), (-0.5, 0.5))]
+        lam = rng.uniform(-10.0, 10.0)
+        rows.append(np.concatenate(pqw + [[lam], rng.uniform(-1.0, 1.0, (2, 4)).ravel()]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 5])
+@pytest.mark.parametrize("count", [1, 5, BLOCK])
+def test_tame_block_draw_equals_per_case_draws(seed, count):
+    block, per_case, split = (np.random.default_rng(seed) for _ in range(3))
+    got = verify._tame_block(block, count)
+    assert got.tobytes() == tame_cases(per_case, count).tobytes()
+    assert block.bit_generator.state == per_case.bit_generator.state
+    # Two draws in a row take the stream of one draw of both counts.
+    head = verify._tame_block(split, count // 2)
+    tail = verify._tame_block(split, count - count // 2)
+    assert np.concatenate([head, tail]).tobytes() == got.tobytes()
+    assert split.bit_generator.state == block.bit_generator.state
+
+
 def _bits(results):
     return [(r.name, r.cases, type(r.failures), r.failures, type(r.worst), r.worst.hex())
             for r in results]
