@@ -10,11 +10,12 @@ cuts the cases into blocks of at most `BLOCK` cases and draws each block in
 one call; an optional `solve` turns the block into what the check reads.
 The check takes one array pass per block, each column over its own length,
 and returns the per-case arrays (ratio, failed); `_tally` alone reduces
-them.  Every draw takes the stream case after case, so drawing a cases and
-then b cases equals drawing a + b.  Six campaigns draw each case as a row
-of scalars and 1-d arrays of varying length; `_per_case` turns that into a
-block draw, the rows as columns and the arrays zero-padded (`_padded`).
-The Wronskian and solver-consistency campaigns share the source
+them.  Every draw takes a fixed-width row of the stream per case, so
+drawing a cases and then b cases equals drawing a + b.  Six campaigns draw
+a block of rows of numbers in [0, 1) in one call (`_rows`) and decode it in
+their `solve`: the integers by floor from each row's first entries, then
+each array at its largest length (`_arrays`), filled past each case's
+length.  The Wronskian and solver-consistency campaigns share the source
 (`_tame_block`, `_solve_tame`) of N = 200 cases: one `rng.uniform` call
 draws a block and one real recurrence pass solves it.  Run alone, each
 draws and solves its blocks for its own check, and `run_all` draws and
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import RESIDUAL_TOL, _greens_identity, _index, _product_rule, _summation_by_parts
+from .calculus import RESIDUAL_TOL, _greens_identity, _product_rule, _summation_by_parts
 from .coeffs import CoefficientSet, _integer
 from .errors import ValidationError
 from .operators import _apply_L, _wronskian_drift, recurrence
@@ -57,28 +58,27 @@ _SOURCES = {}   # (draw, solve) -> {name: check} of the campaigns that read its 
 BLOCK = 32
 
 
-def _padded(draws) -> np.ndarray:
-    """A block's draws as zero-padded arrays, index on axis 1, case on axis 2.
-
-    draws[k] lists the 1-d arrays that case k drew, and array j of case k
-    lands in out[j, :len, k].
-    """
-    sizes = np.array([[len(a) for a in case] for case in draws])
-    width = int(sizes.max())
-    out = np.zeros(sizes.shape + (width,))
-    out[np.arange(width) < sizes[..., None]] = np.concatenate([a for case in draws for a in case])
-    return out.transpose(1, 2, 0).copy()
+def _rows(width: int):
+    """The block draw of `width` numbers in [0, 1) per case: one
+    ``rng.random((count, width))`` call, so each case takes exactly `width`
+    numbers of the stream."""
+    return lambda rng, count: rng.random((count, width))
 
 
-def _per_case(case):
-    """The block draw ``draw(rng, count)`` of a per-case draw ``case(rng)``,
-    which returns one case's row of scalars and its list of 1-d arrays: the
-    pair (columns, arrays) of `count` cases drawn one by one, their rows as
-    one column per scalar and their arrays `_padded`."""
-    def draw(rng, count: int):
-        rows, draws = zip(*[case(rng) for _ in range(count)])
-        return np.array(rows).T, _padded(draws)
-    return draw
+def _integers(lo, size, x):
+    """lo + floor(size * x), an integer in lo..lo + size - 1 for x in [0, 1);
+    size may be each case's own."""
+    return lo + (size * x).astype(int)
+
+
+def _arrays(x, width, table, length):
+    """The arrays of a block of row entries x, one per row (lo, hi, cut, fill)
+    of `table`, index on axis 1 and case on axis 2: array i takes the next
+    `width` entries of each row as lo + (hi - lo) * x, and `fill` from the
+    case's length - cut on."""
+    lo, hi, cut, fill = np.array(table, dtype=float).T[:, :, None, None]
+    a = lo + (hi - lo) * x.T.reshape(len(table), width, -1)
+    return np.where(np.arange(width)[:, None] < length - cut, a, fill)
 
 
 def _blocks(source, rng, cases: int):
@@ -152,37 +152,38 @@ def _pair_block(parts):
     return f, g, np.maximum(1.0, np.max(np.abs(f), axis=0) * np.max(np.abs(g), axis=0))
 
 
-def _product_rule_case(rng):
-    n = int(rng.integers(2, 201))
-    return (n,), [*rng.uniform(-10.0, 10.0, (4, n))]   # Re f, Im f, Re g, Im g
+_PAIRS = [(-10.0, 10.0, 0, 0.0)] * 4   # Re f, Im f, Re g, Im g on 0..n-1
 
 
-@_campaign("product-rule", _per_case(_product_rule_case))
+def _product_rule_rows(x):
+    n = _integers(2, 199, x[:, 0])
+    return n[None], _arrays(x[:, 1:], 200, _PAIRS, n)
+
+
+@_campaign("product-rule", _rows(1 + 4 * 200), _product_rule_rows)
 def product_rule_campaign(cols, parts):
     f, g, scale = _pair_block(parts)
     return _residual_block(_product_rule(f, g, cols[0]), scale)
 
 
-def _summation_by_parts_case(rng):
-    n = int(rng.integers(3, 201))
-    parts = rng.uniform(-10.0, 10.0, (4, n))
-    j = int(rng.integers(0, n - 2))
-    return (j, int(rng.integers(j, n - 1))), [*parts]
+def _summation_by_parts_rows(x):
+    n = _integers(3, 198, x[:, 0])
+    j = _integers(0, n - 2, x[:, 1])
+    return np.array([n, j, _integers(j, n - 1 - j, x[:, 2])]), _arrays(x[:, 3:], 200, _PAIRS, n)
 
 
-@_campaign("summation-by-parts", _per_case(_summation_by_parts_case))
+@_campaign("summation-by-parts", _rows(3 + 4 * 200), _summation_by_parts_rows)
 def summation_by_parts_campaign(cols, parts):
     f, g, scale = _pair_block(parts)
-    return _residual_block(_summation_by_parts(f, g, *cols), scale)
+    return _residual_block(_summation_by_parts(f, g, *cols[1:]), scale)
 
 
-def _greens_identity_case(rng):
-    N = int(rng.integers(1, 199))
-    return (N,), [rng.uniform(0.1, 10.0, N + 1),              # p(0..N)
-                  *rng.uniform(-10.0, 10.0, (4, N + 2))]      # Re u, Im u, Re v, Im v
+def _greens_identity_rows(x):
+    N = _integers(1, 198, x[:, 0])   # p on 0..N, then u and v on 0..N+1
+    return N[None], _arrays(x[:, 1:], 200, [(0.1, 10.0, 1, 0.0), *_PAIRS], N + 2)
 
 
-@_campaign("greens-identity", _per_case(_greens_identity_case))
+@_campaign("greens-identity", _rows(1 + 5 * 200), _greens_identity_rows)
 def greens_identity_campaign(cols, arrays):
     p, *parts = arrays
     u, v = _complex_pairs(parts)
@@ -260,6 +261,12 @@ def solution_residual_ratio(coeffs: CoefficientSet, sol) -> float:
                                  sol.values.window(0, N + 1)))
 
 
+# The arrays of a lemma case of length 8..59: p on 0..length-1, with 1 past
+# it so that the padding passes the p > 0 check and keeps 1/p finite, and the
+# real and imaginary parts of u(1..length-3).
+_P, _U = (0.1, 10.0, 0, 1.0), [(-10.0, 10.0, 3, 0.0)] * 2
+
+
 def _supported(arrays):
     """The coefficient arrays of a lemma block, and the complex u on
     0..length-1 that vanishes outside 1..length-3, from its last two padded
@@ -270,69 +277,53 @@ def _supported(arrays):
     return coeffs, u
 
 
-def _positive_padding(p, length):
-    """p with 1 past each case's length, so that the padding passes the p > 0
-    check of `_lemma1` and keeps 1/p finite."""
-    return np.where(_index(p) < length, p, 1.0)
+def _lemma1_rows(x):
+    length = _integers(8, 52, x[:, 0])
+    n = _integers(1, length - 2, x[:, 1])
+    m = _integers(n, length - 1 - n, x[:, 2])
+    return np.array([length, n, m]), _arrays(x[:, 3:], 59, [_P, *_U], length)
 
 
-def _lemma1_case(rng):
-    length = int(rng.integers(8, 60))
-    arrays = [rng.uniform(0.1, 10.0, length),                  # p
-              *rng.uniform(-10.0, 10.0, (2, length - 3))]      # u(1..length-3)
-    n = int(rng.integers(1, length - 1))
-    return (length, n, int(rng.integers(n, length - 1))), arrays
-
-
-@_campaign("lemma1", _per_case(_lemma1_case))
+@_campaign("lemma1", _rows(3 + 3 * 59), _lemma1_rows)
 def lemma1_campaign(cols, arrays):
     length, n, m = cols
     (p,), u = _supported(arrays)
-    return _excess(*_lemma1(_positive_padding(p, length), u, n, m, 1, length - 2))
+    return _excess(*_lemma1(p, u, n, m, 1, length - 2))
 
 
-def _coefficient_case(rng) -> tuple:
-    """The row (length, b) and the arrays q, p and u(1..length-3) of one
-    lemma2 or pointwise-bound case: q(b) gets 0.5 more, so that q has a
-    positive entry past index 0.  A weight w is drawn between p and u, and
-    dropped, to keep the settled draw order; neither lemma reads w."""
-    length = int(rng.integers(8, 60))
-    q = rng.uniform(0.0, 5.0, length)
-    bump = 1 + int(rng.integers(0, length - 1))
-    p = rng.uniform(0.1, 10.0, length)
-    rng.uniform(-5.0, 5.0, length)
-    return (length, bump), [q, p, *rng.uniform(-10.0, 10.0, (2, length - 3))]
+def _coefficient_rows(x, k: int):
+    """length, bump and the arrays q, p, Re u and Im u of a block of lemma2
+    or pointwise-bound rows, whose first k entries are integers: q(bump)
+    gets 0.5 more, so that q has a positive entry past index 0."""
+    length = _integers(8, 52, x[:, 0])
+    bump = _integers(1, length - 1, x[:, 1])
+    arrays = _arrays(x[:, k:], 59, [(0.0, 5.0, 0, 0.0), _P, *_U], length)
+    arrays[0, bump, np.arange(len(bump))] += 0.5
+    return length, bump, arrays
 
 
-def _coefficient_block(length, bump, arrays):
-    """p, q and u of a block of `_coefficient_case` draws."""
-    (q, p), u = _supported(arrays)
-    q[bump, np.arange(len(bump))] += 0.5
-    return _positive_padding(p, length), q, u
+def _lemma2_rows(x):
+    length, bump, arrays = _coefficient_rows(x, 3)
+    return np.array([length, bump, _integers(1, length - 1, x[:, 2])]), arrays   # m in 1..r
 
 
-def _lemma2_case(rng):
-    row, arrays = _coefficient_case(rng)
-    return row + (int(rng.integers(1, row[0])),), arrays   # m in 1..r
-
-
-@_campaign("lemma2", _per_case(_lemma2_case))
+@_campaign("lemma2", _rows(3 + 4 * 59), _lemma2_rows)
 def lemma2_campaign(cols, arrays):
-    length, bump, m = cols
-    p, q, u = _coefficient_block(length, bump, arrays)
+    length, _, m = cols
+    (q, p), u = _supported(arrays)
     return _excess(*_lemma2(p, q, u, m, length - 1, length - 2))
 
 
-def _pointwise_bound_case(rng):
-    row, arrays = _coefficient_case(rng)
-    N = int(rng.integers(1, row[0] - 1))
-    return row + (N, int(rng.integers(1, N + 1))), arrays
+def _pointwise_bound_rows(x):
+    length, bump, arrays = _coefficient_rows(x, 4)
+    N = _integers(1, length - 2, x[:, 2])
+    return np.array([length, bump, N, _integers(1, N, x[:, 3])]), arrays
 
 
-@_campaign("pointwise-bound", _per_case(_pointwise_bound_case))
+@_campaign("pointwise-bound", _rows(4 + 4 * 59), _pointwise_bound_rows)
 def pointwise_bound_campaign(cols, arrays):
-    length, bump, N, m = cols
-    p, q, u = _coefficient_block(length, bump, arrays)
+    length, _, N, m = cols
+    (q, p), u = _supported(arrays)
     return _excess(*_pointwise_bound(p, q, u, m, N, length - 1))
 
 

@@ -142,8 +142,9 @@ def test_verify_exit_status_and_summary(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "suite,cases,failures,worst"
     assert lines[-1].startswith("total,")
-    assert all(",0," in line or line.endswith(",0,") or ",0," in line
-               for line in lines[1:-1])
+    rows = [line.split(",") for line in lines[1:]]
+    assert [len(row) for row in rows] == [4] * len(rows)
+    assert [failures for _, _, failures, _ in rows] == ["0"] * len(rows)
 
 
 def test_verify_single_suite(capsys):

@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import re
 
 import numpy as np
@@ -103,19 +105,20 @@ def test_run_all_matches_each_campaign_alone(seed, cases):
     assert _bits(run_all(seed, cases)) == _bits(want)
 
 
-# The worst ratio of each campaign of run_all(7, 100), in the settled per-case
-# draw order.  A new order moves a nonzero value by O(1) relative; the
-# tolerance leaves room only for vectorized complex products that round
-# differently on another CPU.
+# The worst ratio of each campaign of run_all(7, 100), in the settled draw
+# order: the shared recurrence source's per-entry uniforms and the other
+# campaigns' fixed-width rows.  A new order moves a nonzero value by O(1)
+# relative; the tolerance leaves room only for vectorized complex products
+# that round differently on another CPU.
 PINNED_WORST = {
-    "product-rule": float.fromhex("0x1.a1862800e823dp-12"),
-    "summation-by-parts": float.fromhex("0x1.42eae39a18f76p-9"),
-    "greens-identity": float.fromhex("0x1.59b7ecb840d6dp-9"),
+    "product-rule": float.fromhex("0x1.8926ee69064fcp-12"),
+    "summation-by-parts": float.fromhex("0x1.35f5446066798p-9"),
+    "greens-identity": float.fromhex("0x1.080366e88a79dp-8"),
     "wronskian-constancy": float.fromhex("0x1.2d09351f425fep-21"),
     "solver-consistency": float.fromhex("0x1.362042d63e109p-14"),
     "lemma1": 0.0,
-    "lemma2": float.fromhex("-0x1.68bce254e0619p+39"),
-    "pointwise-bound": float.fromhex("-0x1.a5b1ae084de6bp+39"),
+    "lemma2": float.fromhex("-0x1.a5cde6ceeb02cp+39"),
+    "pointwise-bound": float.fromhex("-0x1.9d91a4c0aca17p+39"),
 }
 
 
@@ -187,81 +190,144 @@ def _report_case(rep):
     return (rep.lhs - rep.rhs) / rep.tolerance_used, not rep.holds
 
 
-def _supported_u(rng, length):
+def _floor(lo, size, x):
+    return lo + int(size * x)
+
+
+def _uniform(x, lo, hi, count, width, length):
+    """`count` arrays of `width` entries lo + (hi - lo) * x from the start of
+    x, each cut to its first `length`."""
+    return list((lo + (hi - lo) * x[:count * width]).reshape(count, width)[:, :length])
+
+
+def _pair_case(x, n):
+    """Re f, Im f, Re g and Im g on 0..n-1 from 200 entries each, and f, g."""
+    parts = _uniform(x, -10.0, 10.0, 4, 200, n)
+    return parts, Sequence(0, parts[0] + 1j * parts[1]), Sequence(0, parts[2] + 1j * parts[3])
+
+
+def _supported_u(parts, length):
     u = np.zeros(length, dtype=complex)
-    u[1:length - 2] = _random_complex(rng, length - 3)
+    u[1:length - 2] = parts[0] + 1j * parts[1]
     return Sequence(0, u)
 
 
-def _lemma_coeffs(rng, length):
-    q = rng.uniform(0.0, 5.0, length)
-    q[1 + rng.integers(0, length - 1)] += 0.5
-    return CoefficientSet(p=Sequence(0, rng.uniform(0.1, 10.0, length)),
-                          q=Sequence(0, q),
-                          w=Sequence(1, rng.uniform(-5.0, 5.0, length)))
+def _product_rule_row(x):
+    n = _floor(2, 199, x[0])
+    parts, f, g = _pair_case(x[1:], n)
+    return (n,), parts, _residual_case(product_rule_residual(f, g),
+                                       _scale(f.values) * _scale(g.values))
 
 
-def _product_rule_case(rng):
-    n = int(rng.integers(2, 201))
-    f, g = _random_complex(rng, n), _random_complex(rng, n)
-    return _residual_case(product_rule_residual(Sequence(0, f), Sequence(0, g)),
-                          _scale(f) * _scale(g))
+def _summation_by_parts_row(x):
+    n = _floor(3, 198, x[0])
+    j = _floor(0, n - 2, x[1])
+    N = _floor(j, n - 1 - j, x[2])
+    parts, f, g = _pair_case(x[3:], n)
+    return (n, j, N), parts, _residual_case(summation_by_parts_residual(f, g, j, N),
+                                            _scale(f.values) * _scale(g.values))
 
 
-def _summation_by_parts_case(rng):
-    n = int(rng.integers(3, 201))
-    f, g = _random_complex(rng, n), _random_complex(rng, n)
-    j = int(rng.integers(0, n - 2))
-    N = int(rng.integers(j, n - 1))
-    return _residual_case(summation_by_parts_residual(Sequence(0, f), Sequence(0, g), j, N),
-                          _scale(f) * _scale(g))
+def _greens_identity_row(x):
+    N = _floor(1, 198, x[0])
+    p = _uniform(x[1:], 0.1, 10.0, 1, 200, N + 1)
+    parts, u, v = _pair_case(x[201:], N + 2)
+    residual = greens_identity_residual(Sequence(0, p[0]), u, v, N)
+    scale = max(1.0, np.max(p[0]) * np.max(np.abs(u.values)) * np.max(np.abs(v.values)))
+    return (N,), p + parts, _residual_case(residual, scale)
 
 
-def _greens_identity_case(rng):
-    N = int(rng.integers(1, 199))
-    p = rng.uniform(0.1, 10.0, N + 1)
-    u, v = _random_complex(rng, N + 2), _random_complex(rng, N + 2)
-    residual = greens_identity_residual(Sequence(0, p), Sequence(0, u), Sequence(0, v), N)
-    return _residual_case(residual, max(1.0, np.max(p) * np.max(np.abs(u)) * np.max(np.abs(v))))
+def _lemma1_row(x):
+    length = _floor(8, 52, x[0])
+    n = _floor(1, length - 2, x[1])
+    m = _floor(n, length - 1 - n, x[2])
+    p = _uniform(x[3:], 0.1, 10.0, 1, 59, length)
+    parts = _uniform(x[62:], -10.0, 10.0, 2, 59, length - 3)
+    rep = check_lemma1(Sequence(0, p[0]), _supported_u(parts, length), n, m)
+    return (length, n, m), p + parts, _report_case(rep)
 
 
-def _lemma1_case(rng):
-    length = int(rng.integers(8, 60))
-    p = Sequence(0, rng.uniform(0.1, 10.0, length))
-    u = _supported_u(rng, length)
-    n = int(rng.integers(1, length - 1))
-    return _report_case(check_lemma1(p, u, n, int(rng.integers(n, length - 1))))
+def _coefficient_row(x, ints):
+    """length, bump, the arrays q, p, Re u and Im u, the coefficients and u
+    of a lemma2 or pointwise-bound row with `ints` integer entries."""
+    length = _floor(8, 52, x[0])
+    bump = _floor(1, length - 1, x[1])
+    q = _uniform(x[ints:], 0.0, 5.0, 1, 59, length)
+    q[0][bump] += 0.5
+    p = _uniform(x[ints + 59:], 0.1, 10.0, 1, 59, length)
+    parts = _uniform(x[ints + 118:], -10.0, 10.0, 2, 59, length - 3)
+    coeffs = CoefficientSet(p=Sequence(0, p[0]), q=Sequence(0, q[0]),
+                            w=Sequence(1, np.ones(length)))   # neither lemma reads w
+    return length, bump, q + p + parts, coeffs, _supported_u(parts, length)
 
 
-def _lemma2_case(rng):
-    length = int(rng.integers(8, 60))
-    coeffs = _lemma_coeffs(rng, length)
-    u = _supported_u(rng, length)
-    return _report_case(check_lemma2(coeffs, u, int(rng.integers(1, length)), length - 1))
+def _lemma2_row(x):
+    length, bump, arrays, coeffs, u = _coefficient_row(x, 3)
+    m = _floor(1, length - 1, x[2])
+    return (length, bump, m), arrays, _report_case(check_lemma2(coeffs, u, m, length - 1))
 
 
-def _pointwise_bound_case(rng):
-    length = int(rng.integers(8, 60))
-    coeffs = _lemma_coeffs(rng, length)
-    u = _supported_u(rng, length)
-    N = int(rng.integers(1, length - 1))
-    return _report_case(check_pointwise_bound(coeffs, u, int(rng.integers(1, N + 1)), N))
+def _pointwise_bound_row(x):
+    length, bump, arrays, coeffs, u = _coefficient_row(x, 4)
+    N = _floor(1, length - 2, x[2])
+    m = _floor(1, N, x[3])
+    return (length, bump, N, m), arrays, _report_case(check_pointwise_bound(coeffs, u, m, N))
 
 
-REFERENCE_CASES = {
-    "product-rule": _product_rule_case,
-    "summation-by-parts": _summation_by_parts_case,
-    "greens-identity": _greens_identity_case,
-    "lemma1": _lemma1_case,
-    "lemma2": _lemma2_case,
-    "pointwise-bound": _pointwise_bound_case,
+# Each padded campaign's row width and its replay: one row of `width` numbers
+# in [0, 1) decoded into (integers, unpadded arrays, (ratio, failed)) through
+# the public checks.
+REFERENCE_ROWS = {
+    "product-rule": (1 + 4 * 200, _product_rule_row),
+    "summation-by-parts": (3 + 4 * 200, _summation_by_parts_row),
+    "greens-identity": (1 + 5 * 200, _greens_identity_row),
+    "lemma1": (3 + 3 * 59, _lemma1_row),
+    "lemma2": (3 + 4 * 59, _lemma2_row),
+    "pointwise-bound": (4 + 4 * 59, _pointwise_bound_row),
 }
 
 
-def reference_cases(name, seed, cases):
-    """(ratio, failed) of each case of a campaign through the public checks."""
+def reference_rows(name, seed, cases):
+    """Each case of a campaign replayed from one `rng.random(width)` call."""
     rng = np.random.default_rng(seed)
-    return [REFERENCE_CASES[name](rng) for _ in range(cases)]
+    width, row = REFERENCE_ROWS[name]
+    return [row(rng.random(width)) for _ in range(cases)]
+
+
+# The source (draw, solve) of each campaign.
+SOURCE = {name: source for source, checks in verify._SOURCES.items() for name in checks}
+
+
+def decoded_cases(name, seed, cases):
+    """(integers, arrays) of each case of a padded campaign's solved blocks."""
+    return [(cols[:, k], arrays[:, :, k])
+            for cols, arrays in verify._blocks(SOURCE[name], np.random.default_rng(seed), cases)
+            for k in range(cols.shape[1])]
+
+
+# The (length, fill past it) of each array of a padded campaign's case, from
+# its integers: 1 past p, so that 1/p stays finite, and 0 elsewhere.
+PADDING = {
+    "product-rule": lambda n: [(n, 0.0)] * 4,
+    "summation-by-parts": lambda n, j, N: [(n, 0.0)] * 4,
+    "greens-identity": lambda N: [(N + 1, 0.0)] + [(N + 2, 0.0)] * 4,
+    "lemma1": lambda length, n, m: [(length, 1.0)] + [(length - 3, 0.0)] * 2,
+    "lemma2": lambda length, *_: [(length, 0.0), (length, 1.0)] + [(length - 3, 0.0)] * 2,
+    "pointwise-bound": lambda length, *_: [(length, 0.0), (length, 1.0)] + [(length - 3, 0.0)] * 2,
+}
+
+# Each integer of a padded campaign's case as (value, lo, hi): its range, which
+# may depend on the integers before it.
+INTEGER_RANGES = {
+    "product-rule": lambda n: [(n, 2, 200)],
+    "summation-by-parts": lambda n, j, N: [(n, 3, 200), (j, 0, n - 3), (N, j, n - 2)],
+    "greens-identity": lambda N: [(N, 1, 198)],
+    "lemma1": lambda length, n, m: [(length, 8, 59), (n, 1, length - 2), (m, n, length - 2)],
+    "lemma2": lambda length, bump, m: [(length, 8, 59), (bump, 1, length - 1),
+                                       (m, 1, length - 1)],
+    "pointwise-bound": lambda length, bump, N, m: [(length, 8, 59), (bump, 1, length - 1),
+                                                   (N, 1, length - 2), (m, 1, N)],
+}
 
 
 # How far a case's ratio in a block may sit from the case-by-case one.  A block
@@ -284,20 +350,77 @@ BLOCK_TOL = {
 }
 
 
-@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+@pytest.mark.parametrize("name", list(REFERENCE_ROWS))
 @pytest.mark.parametrize("cases", [0, 1, BLOCK, BLOCK + 1, 37])
 def test_block_campaigns_match_case_by_case_reference(name, cases):
     seed = 101 + cases
-    want = reference_cases(name, seed, cases)
+    want = reference_rows(name, seed, cases)
+    decoded = decoded_cases(name, seed, cases)
+    assert len(decoded) == cases
+    # The decoded inputs equal the replay's bit for bit, and so does the
+    # padding past each array's length.
+    for (cols, arrays), (ref_cols, ref_arrays, _) in zip(decoded, want):
+        assert cols.tolist() == list(ref_cols)
+        assert len(arrays) == len(ref_arrays)
+        for a, ref, (length, fill) in zip(arrays, ref_arrays, PADDING[name](*ref_cols)):
+            assert len(ref) == length
+            assert a[:length].tobytes() == ref.tobytes()
+            assert np.all(a[length:] == fill)
     got = [case for block in CAMPAIGNS[name].blocks(np.random.default_rng(seed), cases)
            for case in zip(*block)]
-    assert [bool(failed) for _, failed in got] == [bool(failed) for _, failed in want]
+    assert [bool(failed) for _, failed in got] == [bool(failed) for *_, (_, failed) in want]
     tol = {"rel": 0, "abs": 0, **BLOCK_TOL[name]}
-    for (ratio, _), (ref, _) in zip(got, want):
+    for (ratio, _), (*_, (ref, _)) in zip(got, want):
         assert ratio == pytest.approx(ref, **tol)
     r = run_campaign(name, seed, cases)
-    assert (r.cases, r.failures) == (cases, sum(failed for _, failed in want))
+    assert (r.cases, r.failures) == (cases, sum(failed for *_, (_, failed) in want))
     assert r.worst == max((float(ratio) for ratio, _ in got), default=0.0) <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 5])
+@pytest.mark.parametrize("count", [1, 5, BLOCK])
+@pytest.mark.parametrize("source", list(verify._SOURCES),
+                         ids=[",".join(checks) for checks in verify._SOURCES.values()])
+def test_block_draw_takes_a_fixed_row_per_case(source, count, seed):
+    draw, _ = source
+    whole, split, flat = (np.random.default_rng(seed) for _ in range(3))
+    got = draw(whole, count)
+    assert got.shape[0] == count
+    # Two draws in a row take the stream of one draw of both counts ...
+    head = draw(split, count // 2)
+    tail = draw(split, count - count // 2)
+    assert np.concatenate([head, tail]).tobytes() == got.tobytes()
+    assert split.bit_generator.state == whole.bit_generator.state
+    # ... and a draw takes one double of the stream per entry of its rows.
+    flat.random(got.size)
+    assert flat.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 5])
+@pytest.mark.parametrize("count", [1, 5, BLOCK])
+@pytest.mark.parametrize("name", list(PADDING))
+def test_padded_draws_decode_in_range(name, count, seed):
+    for cols, arrays in decoded_cases(name, seed, count):
+        for value, lo, hi in INTEGER_RANGES[name](*cols):
+            assert lo <= value <= hi
+        for a, (length, fill) in zip(arrays, PADDING[name](*cols), strict=True):
+            assert np.all(a[length:] == fill)
+
+
+@pytest.mark.parametrize("name", list(INTEGER_RANGES))
+def test_decoded_integers_reach_both_ends_of_their_ranges(name):
+    # Every corner of the integer entries, each at 0 or at the largest double
+    # below 1, decodes to the low or the high end of its range.
+    ints = len(inspect.signature(INTEGER_RANGES[name]).parameters)
+    width, _ = REFERENCE_ROWS[name]
+    corners = np.array(list(itertools.product([0.0, np.nextafter(1.0, 0.0)], repeat=ints)))
+    x = np.full((len(corners), width), 0.5)
+    x[:, :ints] = corners
+    cols, _ = SOURCE[name][1](x)
+    assert cols.shape == (ints, len(corners))
+    for corner, case in zip(corners, cols.T):
+        for at, (value, lo, hi) in zip(corner, INTEGER_RANGES[name](*case), strict=True):
+            assert value == (lo if at == 0.0 else hi)
 
 
 def test_failure_rules_pass_at_equality():
