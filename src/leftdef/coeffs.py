@@ -12,6 +12,7 @@ below its least is a ValidationError, and numpy integers pass.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -90,8 +91,8 @@ class Sequence:
         return self.offset == other.offset and np.array_equal(self.values, other.values)
 
     def __hash__(self):
-        # Equal real and complex windows must hash alike, so hash the complex bytes.
-        return hash((self.offset, self.values.astype(np.complex128, copy=False).tobytes()))
+        # Equal windows, real or complex, have equal real parts; + 0.0 makes -0.0 into 0.0.
+        return hash((self.offset, (self.values.real + 0.0).tobytes()))
 
 
 def _integer(value, what: str, least: int | None = 0) -> int:
@@ -113,18 +114,6 @@ def _require(name: str, ok: np.ndarray, offset: int, what: str):
     if not np.all(ok):
         first = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
         raise ValidationError(f"{name}({first + offset}) {what}")
-
-
-def _check_coefficients(p: np.ndarray, q: np.ndarray, w: np.ndarray):
-    """p > 0, q >= 0 and p, q, w finite, along axis 0 (p, q from index 0, w from 1).
-
-    Trailing axes hold separate instances; an error names the first index
-    at which any of them fails.
-    """
-    for name, vals, offset in (("p", p, 0), ("q", q, 0), ("w", w, 1)):
-        _require(name, np.isfinite(vals), offset, "is not finite")
-    _require("p", p > 0, 0, "not strictly positive")
-    _require("q", q >= 0, 0, "negative")
 
 
 def _real(name: str, vals: np.ndarray) -> np.ndarray:
@@ -155,8 +144,10 @@ def _real_triple(p, q, w) -> CoefficientSet:
         vals = _floats(name, arr)
         if vals.ndim != 1 or vals.size < 1:
             raise ValidationError(f"{name} must be a non-empty 1-d array")
-        _require(name, np.isfinite(vals), offset, "is not finite")
-        seqs.append(Sequence(offset, vals))
+        try:
+            seqs.append(Sequence(offset, vals))
+        except ValidationError:   # only a non-finite entry fails here: name the first
+            _require(name, np.isfinite(vals), offset, "is not finite")
     return CoefficientSet(*seqs)
 
 
@@ -183,7 +174,8 @@ class CoefficientSet:
             if np.iscomplexobj(seq.values):
                 object.__setattr__(self, name,
                                    Sequence(seq.offset, _real(name, seq.values)))
-        _check_coefficients(self.p.values, self.q.values, self.w.values)
+        _require("p", self.p.values > 0, 0, "not strictly positive")
+        _require("q", self.q.values >= 0, 0, "negative")
         object.__setattr__(self, "q_nontrivial", bool(np.any(self.q.values > 0)))
 
 
@@ -247,6 +239,8 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
             r = param(key, scalar=False)
             if r.shape != (2,):
                 raise ValidationError(f"random {key} must be a (lo, hi) pair")
+            if not math.isfinite(r[1].item() - r[0].item()):   # else rng.uniform overflows
+                raise ValidationError(f"random {key} needs a finite hi - lo, got {r.tolist()}")
             return r
         rng = np.random.default_rng(rng_seed)
         ranges = [bounds(f"{k}_range") for k in "pqw"]

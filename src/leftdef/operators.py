@@ -100,9 +100,11 @@ def recurrence(pv, qv, wv, lam, u0, u1) -> np.ndarray:
     Axis 0 is the index: pv holds p(0..N), qv and wv hold q(1..N) and
     w(1..N).  The trailing axes of all six arguments broadcast, so one call
     solves a block of columns with their own lambda, initial data and
-    coefficients; the result is complex with shape (N+2,) + the broadcast
-    trailing shape.  The diagonal term c(n) = p(n) + p(n-1) + q(n) - lam w(n)
-    is formed once and the loop runs over n only,
+    coefficients.  The result has shape (N+2,) + the broadcast trailing
+    shape and numpy's result dtype of c and the initial data: float64 when
+    lam, u0 and u1 are real-typed, else complex128.  The diagonal term
+    c(n) = p(n) + p(n-1) + q(n) - lam w(n) is formed once and the loop runs
+    over n only,
 
         u(n+1) = (c(n) u(n) - p(n-1) u(n-1)) / p(n).
 
@@ -118,7 +120,8 @@ def recurrence(pv, qv, wv, lam, u0, u1) -> np.ndarray:
     imaginary part adds only signed zeros to the complex loop's sums, so
     the two loops give equal values that differ at most in the sign of a
     zero; the closing ``u += 0.0`` turns every -0.0 into +0.0, after which
-    they agree bit for bit and a block that mixes real and complex lambdas
+    they agree bit for bit: a float64 result is the real part of its
+    complex128 solve, and a block that mixes real and complex lambdas
     matches its columns solved alone.  p must be positive; no rescaling is
     applied, and non-finite growth in any column raises SolverOverflowError.
     """
@@ -132,13 +135,13 @@ def recurrence(pv, qv, wv, lam, u0, u1) -> np.ndarray:
     pv, qv, wv = (x.reshape(x.shape[:1] + (1,) * (len(shape) + 1 - x.ndim) + x.shape[1:])
                   for x in (pv, qv, wv))
     c = pv[1:] + pv[:-1] + qv - lam * wv
-    u01 = np.stack([np.broadcast_to(np.asarray(x, dtype=complex), shape) for x in (u0, u1)])
+    u01 = np.stack([np.broadcast_to(x, shape) for x in (u0, u1)])
+    u01 = u01.astype(np.result_type(c, u01), copy=False)
     pm, inv = _rows(pv[:-1]), _rows(1.0 / pv[1:])
-    u = np.zeros((N + 2,) + shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.any(np.imag(c)):
             cr = _rows(np.real(c))
-            u.real = _real_loop(cr, pm, inv, u01.real)
+            u = np.array(_real_loop(cr, pm, inv, u01.real)).astype(u01.dtype, copy=False)
             if np.any(u01.imag):
                 u.imag = _real_loop(cr, pm, inv, u01.imag)
         else:
@@ -150,6 +153,7 @@ def recurrence(pv, qv, wv, lam, u0, u1) -> np.ndarray:
                                   ((cr * ui + ci * ur) - pk * vi) * ik)
                 re.append(ur)
                 im.append(ui)
+            u = np.empty((N + 2,) + shape, dtype=complex)
             u.real, u.imag = re, im
         u += 0.0
     bad = ~np.all(np.isfinite(u), axis=0)

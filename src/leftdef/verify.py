@@ -5,9 +5,9 @@ and reports its failed cases and `worst`, the largest per-case ratio
 (residual / tolerance, (lhs - rhs) / slack, or drift / bound): a case fails
 when its ratio passes 1, and `worst` is 0 when there are no cases.
 A campaign is a block draw ``draw(rng, count)`` plus a block check
-registered with ``@_campaign(name, draw, solve=...)``.  One loop, `_blocks`,
+registered with ``@_campaign(name, draw, solve)``.  One loop, `_blocks`,
 cuts the cases into blocks of at most `BLOCK` cases and draws each block in
-one call; an optional `solve` turns the block into what the check reads.
+one call, and `solve` turns the block into what the check reads.
 The check takes one array pass per block, each column over its own length,
 and returns the per-case arrays (ratio, failed); `_tally` alone reduces
 them.  Every draw takes a fixed-width row of the stream per case, so
@@ -52,9 +52,9 @@ _SOURCES = {}   # (draw, solve) -> {name: check} of the campaigns that read its 
 
 # Cases per array pass.  A block of 32 keeps the working set of a solved
 # recurrence block (its real solutions, 4 x 202 doubles per case, the complex
-# phi and theta assembled from them, and the temporaries of one check at a
-# time) near 1.6 MB; blocks of 64 run about 5% faster but grow peak RSS by
-# about 2 MB, and blocks of 128 by about 6.5 MB.
+# phi and theta assembled from them, and one check's temporaries) at 1.6 MB,
+# the tracemalloc peak of `run_all(7, 1000)`; blocks of 64 run about 5% faster
+# but grow peak RSS by about 2 MB, and blocks of 128 by about 6.5 MB.
 BLOCK = 32
 
 
@@ -105,7 +105,7 @@ def _tally(checks: dict, source, seed: int, cases: int) -> dict:
             for name in checks}
 
 
-def _campaign(name: str, draw, solve=lambda block: block):
+def _campaign(name: str, draw, solve):
     """Register the campaign `name`, whose check is the decorated function:
     it maps each block of the source (draw, solve), see `_blocks`, unpacked
     into its arguments, to the per-case arrays (ratio, failed).  The
@@ -212,16 +212,16 @@ def _tame_block(rng, count: int):
 def _solve_tame(draws):
     """((pv, qv, wv, lam), u) of a block of `_tame_block` rows: p(0..N),
     q(1..N) and w(1..N) of shape (len, 1, B), lam of shape (B,), and the
-    solutions u of shape (N+2, 2, B) with phi and theta on axis 1.  The
-    recurrence is real, so one real pass solves the real and the imaginary
-    parts of the initial data together, on axis 1 of its (N+2, 2, 2, B)
-    result; re + 1j * im rounds nothing, so u is the complex solve bit for
-    bit."""
+    solutions u of shape (N+2, 2, B) with phi and theta on axis 1.  lam and
+    the initial data are real-typed, so one real pass solves the real and
+    the imaginary parts of the initial data together, on axis 1 of its
+    float64 (N+2, 2, 2, B) result; re + 1j * im rounds nothing, so u is the
+    complex solve bit for bit."""
     x = draws.T.copy()   # entry on axis 0; a contiguous copy runs the passes ~10% faster
     p, q, w = x[:603].reshape(3, 201, -1)
     init = x[604:].reshape(2, 4, -1)   # parts of phi(0), phi(1), theta(0), theta(1)
     args = (p[:, None], q[1:, None], w[:-1, None], x[603])
-    parts = recurrence(*args, init[:, 0::2], init[:, 1::2]).real
+    parts = recurrence(*args, init[:, 0::2], init[:, 1::2])
     return args, parts[:, 0] + 1j * parts[:, 1]
 
 

@@ -230,7 +230,8 @@ def test_invalid_inline_preset_value_still_exits_1(capsys):
     {"preset": {"name": "random", "length": None}},
     {"p": {"a": 1}, "q": [0, 0, 0], "w": [1, 1, 1]},
     {"preset": {"name": "constant", "params": {"P": 2}}},
-], ids=["list-param", "null-length", "mapping-p", "unknown-param"])
+    {"preset": {"name": "random", "params": {"p_range": [1, 1e400]}, "length": 8}},
+], ids=["list-param", "null-length", "mapping-p", "unknown-param", "infinite-range"])
 def test_malformed_coeffs_document_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))

@@ -183,6 +183,10 @@ def test_make_preset_rejects_unknown_parameter(name, params, key):
     ({"preset": {"length": 4}}, "preset entry needs a 'name'"),
     ({"p": [], "q": [0], "w": [1]}, "p must be a non-empty 1-d array"),
     ({"p": [1, 1], "q": [[0, 0]], "w": [1]}, "q must be a non-empty 1-d array"),
+    ({"preset": {"name": "random", "params": {"p_range": [1, 1e400]}, "length": 8}},
+     r"^random p_range needs a finite hi - lo, got \[1.0, inf\]$"),
+    ({"preset": {"name": "random", "params": {"w_range": [-1e308, 1e308]}, "length": 8}},
+     r"^random w_range needs a finite hi - lo, got \[-1e\+308, 1e\+308\]$"),
 ])
 def test_malformed_document_is_validation_error(doc, match):
     with pytest.raises(ValidationError, match=match):
@@ -233,20 +237,6 @@ def test_validation_names_first_bad_index_mid_and_last(index):
         load_coefficients(doc)
 
 
-def test_block_validation_names_first_index_across_columns():
-    from leftdef.coeffs import _check_coefficients
-
-    p, q, w = np.ones((6, 3)), np.zeros((6, 3)), np.ones((6, 3))
-    _check_coefficients(p, q, w)
-    p[4, 0] = -1.0
-    p[2, 2] = 0.0
-    with pytest.raises(ValidationError, match=r"^p\(2\) not strictly positive$"):
-        _check_coefficients(p, q, w)
-    w[5, 1] = np.inf
-    with pytest.raises(ValidationError, match=r"^w\(6\) is not finite$"):
-        _check_coefficients(np.ones((6, 3)), q, w)
-
-
 def test_preset_and_loaded_coefficients_are_float64():
     docs = [make_preset(name, length=12, rng_seed=3) for name in PRESETS]
     docs.append(load_coefficients('{"p": [1, 2, 3], "q": [0, 1, 0], "w": [1, -1]}'))
@@ -269,6 +259,10 @@ def test_real_and_complex_sequences_compare_and_hash_alike():
     real, cplx = Sequence(0, [1.0]), Sequence(0, [1 + 0j])
     assert real == cplx
     assert hash(real) == hash(cplx)
+    zeros = [Sequence(0, [0.0, 1.0]), Sequence(0, [-0.0, 1.0]),
+             Sequence(0, [0j, 1.0]), Sequence(0, [complex(-0.0, -0.0), 1.0])]
+    for a in zeros:
+        assert a == zeros[0] and hash(a) == hash(zeros[0])
     assert Sequence(0, [1.0, 2.0]) != Sequence(0, [1.0, 2 + 1e-300j])
     assert Sequence(0, [1.0]) != Sequence(1, [1 + 0j])
     assert (Sequence(0, [1.0]) == 1) is False

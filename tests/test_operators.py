@@ -133,10 +133,14 @@ def scalar_loop(pv, qv, wv, lam, u0, u1):
 class TestRecurrence:
     @pytest.mark.parametrize("lam", [1.5, 1.5 + 0j, -0.75 + 0.3j])
     def test_matches_complex_scalar_loop(self, lam):
+        # The result is float64 only for a real-typed lambda and initial data.
         c = make_preset("random", length=300, rng_seed=9)
         args = (c.p.window(0, 250), c.q.window(1, 250), c.w.window(1, 250))
-        u = recurrence(*args, lam, 0.25 - 1j, 1.0 + 0.5j)
-        np.testing.assert_array_equal(u, scalar_loop(*args, lam, 0.25 - 1j, 1.0 + 0.5j))
+        for init in ((0.25 - 1j, 1.0 + 0.5j), (0.25, 1.0)):
+            u = recurrence(*args, lam, *init)
+            real = isinstance(lam, float) and isinstance(init[0], float)
+            assert u.dtype == (np.float64 if real else np.complex128)
+            np.testing.assert_array_equal(u, scalar_loop(*args, lam, *init))
 
     @pytest.mark.parametrize("kind", list(InitKind))
     def test_batched_columns_equal_solve_recurrence_bitwise(self, kind):
@@ -259,9 +263,12 @@ def test_real_lambda_block_equals_complex_loop(B, seed, zero):
     parts = np.stack([init.real, init.imag])
     real_args = coeffs + (parts[:, 0::2], parts[:, 1::2])
     r = recurrence(*real_args)
-    assert r.shape == (N + 2, 2, 2, B)
-    assert_canonical_reference(r, complex_loop(*real_args))
-    assert (r.real[:, 0] + 1j * r.real[:, 1]).tobytes() == u.tobytes()
+    assert r.shape == (N + 2, 2, 2, B) and r.dtype == np.float64
+    ref = complex_loop(*real_args)
+    assert not np.any(ref.imag)
+    assert r.tobytes() == (ref.real + 0.0).tobytes()
+    assert not np.any((r == 0.0) & np.signbit(r))
+    assert (r[:, 0] + 1j * r[:, 1]).tobytes() == u.tobytes()
 
 
 class TestWronskian:

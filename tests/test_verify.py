@@ -639,5 +639,11 @@ def test_lemma1_core_checks_p_of_every_column():
     u = np.ones((8, 3), dtype=complex)
     with pytest.raises(ValidationError, match=r"p\(5\) not strictly positive"):
         _lemma1(p, u, 1, 4, 1, 6)
+    # Two bad columns: the error names the smaller index, not the first column's.
+    p = np.ones((8, 3))
+    p[4, 0] = -1.0
+    p[2, 2] = 0.0
+    with pytest.raises(ValidationError, match=r"^p\(2\) not strictly positive$"):
+        _lemma1(p, u, 1, 4, 1, 6)
     with pytest.raises(ValidationError, match="real-valued"):
         _lemma1(np.ones((8, 3)) + 1e-300j, u, 1, 4, 1, 6)

@@ -8,7 +8,8 @@ their bytes, dataclasses field by field, and a raised error as its type and
 message.  The calls cover `verify.run_all`, the per-block (largest ratio,
 number failed) of each campaign's ``blocks``, the public functions of
 `calculus`, `space`, `operators` and `spectrum` on seeded instances
-(`cauchy_diagnostics` also on a family that does not contract, shooting
+(`recurrence` also with real values in complex-typed input,
+`cauchy_diagnostics` also on a family that does not contract, shooting
 also with the pencil's eigenvalues as guesses, and on a weight that puts an
 eigenvalue near the largest double), and invalid integer arguments: a
 non-integer, bool or below-range N for every function that takes one, a 1.5
@@ -193,6 +194,11 @@ def operators(rng) -> None:
         pv, qv, wv = c.p.window(0, N), c.q.window(1, N), c.w.window(1, N)
         lams = rng.uniform(-5.0, 5.0, 7)
         record(f"recurrence({label}, 7 lambdas)", lambda: recurrence(pv, qv, wv, lams, 0.0, 1.0))
+        # The result's dtype follows the inputs': complex for a complex-typed
+        # lambda or complex initial data, even when every value is real.
+        record(f"recurrence({label}, 1.5+0j)", lambda: recurrence(pv, qv, wv, 1.5 + 0j, 0.0, 1.0))
+        record(f"recurrence({label}, 1.5, complex data)",
+               lambda: recurrence(pv, qv, wv, 1.5, 0.0, 1.0 + 0j))
 
 
 def spectrum() -> None:

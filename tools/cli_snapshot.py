@@ -34,6 +34,9 @@ def commands(tmp: Path):
     tiny_w = tmp / "tiny-w.json"
     tiny_w.write_text(json.dumps({"p": [1] * 8, "q": [0] * 8,
                                   "w": [1, -1, 1e-16, 2, -0.5, 1e-16, 1]}))
+    wide_range = tmp / "wide-range.json"
+    wide_range.write_text(json.dumps({"preset": {"name": "random",
+                                                 "params": {"w_range": [-1e308, 1e308]}}}))
     long_window = ("--preset", "periodic:p=1,q=0.5,w=1", "--length", "2000")
     yield from [
         # the README commands
@@ -79,6 +82,7 @@ def commands(tmp: Path):
         ("solve", *CONST, "--lambda", "abc", "--u0", "0", "--u1", "1", "--n", "3"),
         ("spectrum", "--preset", "constant:p=-1", "--n", "3"),
         ("spectrum", "--coeffs", str(tiny_w), "--n", "7", "--method", "both"),
+        ("spectrum", "--coeffs", str(wide_range), "--n", "4"),
         ("verify", "--seed", "-1"),
     ]
 
