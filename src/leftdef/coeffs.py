@@ -110,10 +110,9 @@ def _integer(value, what: str, least: int | None = 0) -> int:
 
 
 def _require(name: str, ok: np.ndarray, offset: int, what: str):
-    """Raise ValidationError naming the first index, along axis 0, where ok fails."""
+    """Raise ValidationError naming the first index where the 1-d ok fails."""
     if not np.all(ok):
-        first = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
-        raise ValidationError(f"{name}({first + offset}) {what}")
+        raise ValidationError(f"{name}({int(np.argmin(ok)) + offset}) {what}")
 
 
 def _real(name: str, vals: np.ndarray) -> np.ndarray:
@@ -239,8 +238,10 @@ def make_preset(name: str, params: dict | None = None, length: int = 10,
             r = param(key, scalar=False)
             if r.shape != (2,):
                 raise ValidationError(f"random {key} must be a (lo, hi) pair")
-            if not math.isfinite(r[1].item() - r[0].item()):   # else rng.uniform overflows
-                raise ValidationError(f"random {key} needs a finite hi - lo, got {r.tolist()}")
+            span = r[1].item() - r[0].item()
+            if not 0 <= span < math.inf:   # else rng.uniform raises or overflows
+                need = "lo <= hi" if span < 0 else "a finite hi - lo"
+                raise ValidationError(f"random {key} needs {need}, got {r.tolist()}")
             return r
         rng = np.random.default_rng(rng_seed)
         ranges = [bounds(f"{k}_range") for k in "pqw"]

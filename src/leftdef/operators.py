@@ -108,22 +108,21 @@ def recurrence(pv, qv, wv, lam, u0, u1) -> np.ndarray:
 
         u(n+1) = (c(n) u(n) - p(n-1) u(n-1)) / p(n).
 
-    When no entry of c has a nonzero imaginary part (every lam real, as
-    every eigenvalue of the left-definite problem is), the recurrence is
-    real and runs in real arithmetic: once on the real parts of the initial
-    data, and once more on their imaginary parts only if any is nonzero.
-    Otherwise the complex products are written out in real arithmetic, one
-    rounding per operation whatever the array shape (numpy's vectorized
-    complex multiply may fuse a product and a sum).  Both loops divide by
-    multiplying with 1/p(n), as complex128 division by a real does, so
-    every column equals its own 0-d call bit for bit.  A real c's zero
-    imaginary part adds only signed zeros to the complex loop's sums, so
-    the two loops give equal values that differ at most in the sign of a
-    zero; the closing ``u += 0.0`` turns every -0.0 into +0.0, after which
-    they agree bit for bit: a float64 result is the real part of its
-    complex128 solve, and a block that mixes real and complex lambdas
-    matches its columns solved alone.  p must be positive; no rescaling is
-    applied, and non-finite growth in any column raises SolverOverflowError.
+    When no entry of c and of the initial data has a nonzero imaginary part
+    (every lam real, as every eigenvalue of the left-definite problem is),
+    the recurrence runs in real arithmetic.  Otherwise the complex products
+    are written out in real arithmetic, one rounding per operation whatever
+    the array shape (numpy's vectorized complex multiply may fuse a product
+    and a sum).  Both loops divide by multiplying with 1/p(n), as complex128
+    division by a real does, so every column equals its own 0-d call bit
+    for bit.  A zero imaginary part adds only signed zeros to the complex
+    loop's sums, so the two loops give equal values that differ at most in
+    the sign of a zero; the closing ``u += 0.0`` turns every -0.0 into
+    +0.0, after which they agree bit for bit: a float64 result is the real
+    part of its complex128 solve, and a block that mixes real and complex
+    columns matches its columns solved alone.  p must be positive; no
+    rescaling is applied, and non-finite growth in any column raises
+    SolverOverflowError.
     """
     pv, qv, wv = (np.asarray(x, dtype=float) for x in (pv, qv, wv))
     N = qv.shape[0] if qv.ndim else 0
@@ -139,11 +138,9 @@ def recurrence(pv, qv, wv, lam, u0, u1) -> np.ndarray:
     u01 = u01.astype(np.result_type(c, u01), copy=False)
     pm, inv = _rows(pv[:-1]), _rows(1.0 / pv[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.any(np.imag(c)):
-            cr = _rows(np.real(c))
-            u = np.array(_real_loop(cr, pm, inv, u01.real)).astype(u01.dtype, copy=False)
-            if np.any(u01.imag):
-                u.imag = _real_loop(cr, pm, inv, u01.imag)
+        if not (np.any(np.imag(c)) or np.any(np.imag(u01))):
+            u = np.array(_real_loop(_rows(np.real(c)), pm, inv, u01.real))
+            u = u.astype(u01.dtype, copy=False)
         else:
             vr, ur = _rows(u01.real)
             vi, ui = _rows(u01.imag)

@@ -163,11 +163,9 @@ def _lemma1(pv, uv, n, m, lo, hi):
 
         |u(m)| <= |u(n)| + (sum_{l=lo}^{hi} p|Du|^2)^(1/2) (sum_{l=n}^{m-1} 1/p(l))^(1/2).
 
-    p must be real and positive (else ValidationError); its callers pass
-    finite p.  n, m, lo and hi broadcast against the trailing axes.
+    p must be real, positive and finite; the callers check it.  n, m, lo
+    and hi broadcast against the trailing axes.
     """
-    pv = _real("p", pv)
-    _require("p", pv > 0, 0, "not strictly positive")
     pfac = np.sqrt(_sum_over(1.0 / pv, n, m - 1))
     return abs(_at(uv, m)), abs(_at(uv, n)) + np.sqrt(_grad_energy(pv, uv, lo, hi)) * pfac
 
@@ -187,7 +185,9 @@ def check_lemma1(p: Sequence, u: Sequence, n: int, m: int) -> BoundReport:
         p.require(lo, hi, "p")
     if m > n:
         p.require(n, m - 1, "p")
-    lhs, rhs = _lemma1(_on(p, u.end, 1.0), _on(u, u.end, 0.0), n, m, lo, hi)
+    pv = _real("p", _on(p, u.end, 1.0))
+    _require("p", pv > 0, 0, "not strictly positive")
+    lhs, rhs = _lemma1(pv, _on(u, u.end, 0.0), n, m, lo, hi)
     return inequality_report(float(lhs), float(rhs))
 
 

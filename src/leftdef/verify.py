@@ -4,22 +4,21 @@ Each campaign draws a fixed number of random cases from a deterministic RNG
 and reports its failed cases and `worst`, the largest per-case ratio
 (residual / tolerance, (lhs - rhs) / slack, or drift / bound): a case fails
 when its ratio passes 1, and `worst` is 0 when there are no cases.
-A campaign is a block draw ``draw(rng, count)`` plus a block check
-registered with ``@_campaign(name, draw, solve)``.  One loop, `_blocks`,
-cuts the cases into blocks of at most `BLOCK` cases and draws each block in
-one call, and `solve` turns the block into what the check reads.
-The check takes one array pass per block, each column over its own length,
-and returns the per-case arrays (ratio, failed); `_tally` alone reduces
-them.  Every draw takes a fixed-width row of the stream per case, so
-drawing a cases and then b cases equals drawing a + b.  Six campaigns draw
-a block of rows of numbers in [0, 1) in one call (`_rows`) and decode it in
-their `solve`: the integers by floor from each row's first entries, then
-each array at its largest length (`_arrays`), filled past each case's
-length.  The Wronskian and solver-consistency campaigns share the source
-(`_tame_block`, `_solve_tame`) of N = 200 cases: one `rng.uniform` call
-draws a block and one real recurrence pass solves it.  Run alone, each
-draws and solves its blocks for its own check, and `run_all` draws and
-solves each block once for both.
+A campaign is a block check registered with
+``@_campaign(name, width, solve)``.  One loop, `_blocks`, cuts the cases
+into blocks of at most `BLOCK` cases and draws each block in one
+``rng.random((count, width))`` call, a row of `width` numbers in [0, 1)
+per case, so drawing a cases and then b cases equals drawing a + b; `solve`
+decodes the block into what the check reads.  The check takes one array
+pass per block, each column over its own length, and returns the per-case
+arrays (ratio, failed); `_tally` alone reduces them.  Six campaigns decode
+the integers by floor from each row's first entries, then each array at
+its largest length (`_arrays`), filled past each case's length.  The
+Wronskian and solver-consistency campaigns share the source `_solve_tame`
+of N = 200 cases, which decodes every entry between its own bounds and
+solves the block in one real recurrence pass.  Run alone, each draws and
+solves its blocks for its own check, and `run_all` draws and solves each
+block once for both.
 The CLI `verify` subcommand and the acceptance tests both run these.
 """
 
@@ -47,7 +46,7 @@ class CampaignResult:
 
 
 CAMPAIGNS = {}
-_SOURCES = {}   # (draw, solve) -> {name: check} of the campaigns that read its blocks
+_SOURCES = {}   # (width, solve) -> {name: check} of the campaigns that read its blocks
 
 
 # Cases per array pass.  A block of 32 keeps the working set of a solved
@@ -56,13 +55,6 @@ _SOURCES = {}   # (draw, solve) -> {name: check} of the campaigns that read its 
 # the tracemalloc peak of `run_all(7, 1000)`; blocks of 64 run about 5% faster
 # but grow peak RSS by about 2 MB, and blocks of 128 by about 6.5 MB.
 BLOCK = 32
-
-
-def _rows(width: int):
-    """The block draw of `width` numbers in [0, 1) per case: one
-    ``rng.random((count, width))`` call, so each case takes exactly `width`
-    numbers of the stream."""
-    return lambda rng, count: rng.random((count, width))
 
 
 def _integers(lo, size, x):
@@ -82,11 +74,12 @@ def _arrays(x, width, table, length):
 
 
 def _blocks(source, rng, cases: int):
-    """The blocks of `cases` cases of source = (draw, solve): each is
-    ``solve(draw(rng, count))`` of the next count <= `BLOCK` cases."""
-    draw, solve = source
+    """The blocks of `cases` cases of source = (width, solve): each is
+    ``solve(rng.random((count, width)))`` of the next count <= `BLOCK`
+    cases, so each case takes exactly `width` numbers of the stream."""
+    width, solve = source
     for start in range(0, cases, BLOCK):
-        yield solve(draw(rng, min(BLOCK, cases - start)))
+        yield solve(rng.random((min(BLOCK, cases - start), width)))
 
 
 def _tally(checks: dict, source, seed: int, cases: int) -> dict:
@@ -105,15 +98,15 @@ def _tally(checks: dict, source, seed: int, cases: int) -> dict:
             for name in checks}
 
 
-def _campaign(name: str, draw, solve):
+def _campaign(name: str, width: int, solve):
     """Register the campaign `name`, whose check is the decorated function:
-    it maps each block of the source (draw, solve), see `_blocks`, unpacked
+    it maps each block of the source (width, solve), see `_blocks`, unpacked
     into its arguments, to the per-case arrays (ratio, failed).  The
     registered function takes (seed, cases), computes this check only and
     replaces the check under its module-level name; its
     ``blocks(rng, cases)`` yields the pairs block by block.  `run_all`
     applies all checks of one source to each of its blocks."""
-    source = (draw, solve)
+    source = (width, solve)
 
     def register(check):
         def campaign(seed: int, cases: int) -> CampaignResult:
@@ -160,7 +153,7 @@ def _product_rule_rows(x):
     return n[None], _arrays(x[:, 1:], 200, _PAIRS, n)
 
 
-@_campaign("product-rule", _rows(1 + 4 * 200), _product_rule_rows)
+@_campaign("product-rule", 1 + 4 * 200, _product_rule_rows)
 def product_rule_campaign(cols, parts):
     f, g, scale = _pair_block(parts)
     return _residual_block(_product_rule(f, g, cols[0]), scale)
@@ -172,7 +165,7 @@ def _summation_by_parts_rows(x):
     return np.array([n, j, _integers(j, n - 1 - j, x[:, 2])]), _arrays(x[:, 3:], 200, _PAIRS, n)
 
 
-@_campaign("summation-by-parts", _rows(3 + 4 * 200), _summation_by_parts_rows)
+@_campaign("summation-by-parts", 3 + 4 * 200, _summation_by_parts_rows)
 def summation_by_parts_campaign(cols, parts):
     f, g, scale = _pair_block(parts)
     return _residual_block(_summation_by_parts(f, g, *cols[1:]), scale)
@@ -183,7 +176,7 @@ def _greens_identity_rows(x):
     return N[None], _arrays(x[:, 1:], 200, [(0.1, 10.0, 1, 0.0), *_PAIRS], N + 2)
 
 
-@_campaign("greens-identity", _rows(1 + 5 * 200), _greens_identity_rows)
+@_campaign("greens-identity", 1 + 5 * 200, _greens_identity_rows)
 def greens_identity_campaign(cols, arrays):
     p, *parts = arrays
     u, v = _complex_pairs(parts)
@@ -194,30 +187,24 @@ def greens_identity_campaign(cols, arrays):
 
 # The bounds of each entry of a tame case's row, in draw order: p and q on
 # 0..N and w on 1..N+1 with N = 200, a real lambda, then the real and the
-# imaginary parts of (u(0), u(1)) of phi and of theta.
+# imaginary parts of (u(0), u(1)) of phi and of theta.  These are the
+# random instances with moderate recurrence growth of the Wronskian and
+# solver-consistency campaigns.
 _TAME_LO, _TAME_HI = (np.repeat(ends, [201, 201, 201, 1, 8]) for ends in
                       zip((1.0, 2.0), (0.0, 0.5), (-0.5, 0.5), (-10.0, 10.0), (-1.0, 1.0)))
 
 
-def _tame_block(rng, count: int):
-    """`count` random instances with moderate recurrence growth, the cases of
-    the Wronskian and solver-consistency campaigns, as one row per case.
-    numpy's per-entry `random_uniform` draws each entry as
-    lo + (hi - lo) * next_double in C order, so one call with per-entry
-    bounds takes the stream and gives the values, bit for bit, of one call
-    per array of each case."""
-    return rng.uniform(_TAME_LO, _TAME_HI, (count, _TAME_LO.size))
-
-
-def _solve_tame(draws):
-    """((pv, qv, wv, lam), u) of a block of `_tame_block` rows: p(0..N),
-    q(1..N) and w(1..N) of shape (len, 1, B), lam of shape (B,), and the
-    solutions u of shape (N+2, 2, B) with phi and theta on axis 1.  lam and
-    the initial data are real-typed, so one real pass solves the real and
-    the imaginary parts of the initial data together, on axis 1 of its
-    float64 (N+2, 2, 2, B) result; re + 1j * im rounds nothing, so u is the
-    complex solve bit for bit."""
-    x = draws.T.copy()   # entry on axis 0; a contiguous copy runs the passes ~10% faster
+def _solve_tame(x):
+    """((pv, qv, wv, lam), u) of a block of tame rows x in [0, 1), each entry
+    decoded as lo + (hi - lo) * x: p(0..N), q(1..N) and w(1..N) of shape
+    (len, 1, B), lam of shape (B,), and the solutions u of shape
+    (N+2, 2, B) with phi and theta on axis 1.  lam and the initial data are
+    real-typed, so one real pass solves the real and the imaginary parts of
+    the initial data together, on axis 1 of its float64 (N+2, 2, 2, B)
+    result; re + 1j * im rounds nothing, so u is the complex solve bit for
+    bit."""
+    # Entry on axis 0; a contiguous copy runs the passes ~10% faster.
+    x = (_TAME_LO + (_TAME_HI - _TAME_LO) * x).T.copy()
     p, q, w = x[:603].reshape(3, 201, -1)
     init = x[604:].reshape(2, 4, -1)   # parts of phi(0), phi(1), theta(0), theta(1)
     args = (p[:, None], q[1:, None], w[:-1, None], x[603])
@@ -225,14 +212,14 @@ def _solve_tame(draws):
     return args, parts[:, 0] + 1j * parts[:, 1]
 
 
-@_campaign("wronskian-constancy", _tame_block, _solve_tame)
+@_campaign("wronskian-constancy", _TAME_LO.size, _solve_tame)
 def wronskian_campaign(args, u):
     """Drift of the Wronskian of phi and theta over each case's window."""
     drift, bound = _wronskian_drift(args[0], u[:, :1], u[:, 1:])
     return drift / bound, drift > bound
 
 
-@_campaign("solver-consistency", _tame_block, _solve_tame)
+@_campaign("solver-consistency", _TAME_LO.size, _solve_tame)
 def solver_consistency_campaign(args, u):
     """Residual of apply_L(u) = lam w u for phi and theta of each case, on
     the solved blocks that the Wronskian check reads too: one entry per
@@ -284,7 +271,7 @@ def _lemma1_rows(x):
     return np.array([length, n, m]), _arrays(x[:, 3:], 59, [_P, *_U], length)
 
 
-@_campaign("lemma1", _rows(3 + 3 * 59), _lemma1_rows)
+@_campaign("lemma1", 3 + 3 * 59, _lemma1_rows)
 def lemma1_campaign(cols, arrays):
     length, n, m = cols
     (p,), u = _supported(arrays)
@@ -307,7 +294,7 @@ def _lemma2_rows(x):
     return np.array([length, bump, _integers(1, length - 1, x[:, 2])]), arrays   # m in 1..r
 
 
-@_campaign("lemma2", _rows(3 + 4 * 59), _lemma2_rows)
+@_campaign("lemma2", 3 + 4 * 59, _lemma2_rows)
 def lemma2_campaign(cols, arrays):
     length, _, m = cols
     (q, p), u = _supported(arrays)
@@ -320,7 +307,7 @@ def _pointwise_bound_rows(x):
     return np.array([length, bump, N, _integers(1, N, x[:, 3])]), arrays
 
 
-@_campaign("pointwise-bound", _rows(4 + 4 * 59), _pointwise_bound_rows)
+@_campaign("pointwise-bound", 4 + 4 * 59, _pointwise_bound_rows)
 def pointwise_bound_campaign(cols, arrays):
     length, _, N, m = cols
     (q, p), u = _supported(arrays)

@@ -231,7 +231,11 @@ def test_invalid_inline_preset_value_still_exits_1(capsys):
     {"p": {"a": 1}, "q": [0, 0, 0], "w": [1, 1, 1]},
     {"preset": {"name": "constant", "params": {"P": 2}}},
     {"preset": {"name": "random", "params": {"p_range": [1, 1e400]}, "length": 8}},
-], ids=["list-param", "null-length", "mapping-p", "unknown-param", "infinite-range"])
+    {"preset": {"name": "random", "params": {"p_range": [1, 0.5]}}},
+    {"preset": {"name": "random", "params": {"q_range": [2, 1]}}},
+    {"preset": {"name": "random", "params": {"w_range": [1, -1]}}},
+], ids=["list-param", "null-length", "mapping-p", "unknown-param", "infinite-range",
+        "reversed-p-range", "reversed-q-range", "reversed-w-range"])
 def test_malformed_coeffs_document_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))

@@ -187,6 +187,12 @@ def test_make_preset_rejects_unknown_parameter(name, params, key):
      r"^random p_range needs a finite hi - lo, got \[1.0, inf\]$"),
     ({"preset": {"name": "random", "params": {"w_range": [-1e308, 1e308]}, "length": 8}},
      r"^random w_range needs a finite hi - lo, got \[-1e\+308, 1e\+308\]$"),
+    ({"preset": {"name": "random", "params": {"p_range": [1, 0.5]}}},
+     r"^random p_range needs lo <= hi, got \[1.0, 0.5\]$"),
+    ({"preset": {"name": "random", "params": {"q_range": [2, 1]}}},
+     r"^random q_range needs lo <= hi, got \[2.0, 1.0\]$"),
+    ({"preset": {"name": "random", "params": {"w_range": [1, -1]}}},
+     r"^random w_range needs lo <= hi, got \[1.0, -1.0\]$"),
 ])
 def test_malformed_document_is_validation_error(doc, match):
     with pytest.raises(ValidationError, match=match):

@@ -229,6 +229,8 @@ class TestLemmaChecks:
         (np.ones(8) + 1j, "real-valued"),
         # A zero p, not only a negative one, is rejected.
         (np.array([1.0, 0, 2, 1, 1, 1, 1, 1]), r"p\(1\) not strictly positive"),
+        # Of two bad entries the error names the smaller index.
+        (np.array([1.0, 1, 1, 1, -1, 1, 0, 1]), r"^p\(4\) not strictly positive$"),
     ])
     def test_lemma1_rejects_bad_p(self, p, match):
         u = Sequence(0, np.arange(8.0) ** 2)

@@ -588,6 +588,18 @@ def test_pencil_guesses_need_one_count(monkeypatch):
     assert res.eigenvalues[2] == pytest.approx(0.30002754750318, rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the pencil errs by about "
+                   "eps * max|lambda| = 4.4 here and exits 0")
+def test_pencil_agrees_with_shooting_on_the_tiny_weight_case():
+    # `spectrum --coeffs <doc> --n 7 --method pencil` prints 1.0709887937131004
+    # on row 3, where shooting gives 0.30002754750319827.
+    c, N = explicit([1.0, -1.0, 1e-16, 2.0, -0.5, 1e-16, 1.0])
+    pencil, shooting = eigen_pencil(c, N).eigenvalues, eigen_shooting(c, N).eigenvalues
+    assert len(pencil) == len(shooting) == N
+    for a, b in zip(pencil, shooting):
+        assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
 @pytest.mark.parametrize("window", [(-3.0, 3.0), (-1.0, 2.0)])
 def test_guesses_on_the_window_ends_add_no_point(window):
     # Only a guess strictly inside the window is counted, so guesses at its

@@ -67,8 +67,8 @@ def test_batched_campaigns_match_case_by_case_reference(cases):
 def tame_cases(rng, count):
     """`count` rows of the Wronskian and solver-consistency source drawn case
     by case, one `rng.uniform` call per array as `reference_campaigns` does:
-    p, q, w, lambda, then the real and the imaginary parts of the four
-    initial values."""
+    p(0..200), q(0..200), w(1..201), lambda, then the real and the imaginary
+    parts of phi(0), phi(1), theta(0) and theta(1)."""
     rows = []
     for _ in range(count):
         pqw = [rng.uniform(lo, hi, 201) for lo, hi in ((1.0, 2.0), (0.0, 0.5), (-0.5, 0.5))]
@@ -80,15 +80,24 @@ def tame_cases(rng, count):
 @pytest.mark.parametrize("seed", [0, 7, 2**31 - 5])
 @pytest.mark.parametrize("count", [1, 5, BLOCK])
 def test_tame_block_draw_equals_per_case_draws(seed, count):
-    block, per_case, split = (np.random.default_rng(seed) for _ in range(3))
-    got = verify._tame_block(block, count)
-    assert got.tobytes() == tame_cases(per_case, count).tobytes()
+    # The shared source decodes each entry x of a row as lo + (hi - lo) * x
+    # in two numpy ufuncs; `rng.uniform` rounds the same expression in C,
+    # where a compiler may fuse it into one FMA, so the two agree to 1 ulp
+    # (bit for bit where nothing is fused).
+    block, per_case = np.random.default_rng(seed), np.random.default_rng(seed)
+    [((p, q, w, lam), u)] = verify._blocks(SOURCE["wronskian-constancy"], block, count)
+    ref = tame_cases(per_case, count).T
     assert block.bit_generator.state == per_case.bit_generator.state
-    # Two draws in a row take the stream of one draw of both counts.
-    head = verify._tame_block(split, count // 2)
-    tail = verify._tame_block(split, count - count // 2)
-    assert np.concatenate([head, tail]).tobytes() == got.tobytes()
-    assert split.bit_generator.state == block.bit_generator.state
+    init = u[:2].transpose(1, 0, 2).reshape(4, count)   # phi(0), phi(1), theta(0), theta(1)
+    for got, want, lo, hi in [(p[:, 0], ref[:201], 1.0, 2.0),
+                              (q[:, 0], ref[202:402], 0.0, 0.5),
+                              (w[:, 0], ref[402:602], -0.5, 0.5),
+                              (lam, ref[603], -10.0, 10.0),
+                              (init.real, ref[604:608], -1.0, 1.0),
+                              (init.imag, ref[608:], -1.0, 1.0)]:
+        assert got.shape == want.shape
+        assert np.all((lo <= got) & (got <= hi))
+        np.testing.assert_array_max_ulp(got, want, maxulp=1)
 
 
 def _bits(results):
@@ -106,8 +115,8 @@ def test_run_all_matches_each_campaign_alone(seed, cases):
 
 
 # The worst ratio of each campaign of run_all(7, 100), in the settled draw
-# order: the shared recurrence source's per-entry uniforms and the other
-# campaigns' fixed-width rows.  A new order moves a nonzero value by O(1)
+# order: every campaign's fixed-width rows, which the shared recurrence
+# source decodes between per-entry bounds.  A new order moves a nonzero value by O(1)
 # relative; the tolerance leaves room only for vectorized complex products
 # that round differently on another CPU.
 PINNED_WORST = {
@@ -382,14 +391,15 @@ def test_block_campaigns_match_case_by_case_reference(name, cases):
 @pytest.mark.parametrize("source", list(verify._SOURCES),
                          ids=[",".join(checks) for checks in verify._SOURCES.values()])
 def test_block_draw_takes_a_fixed_row_per_case(source, count, seed):
-    draw, _ = source
+    width, _ = source
+    rows = (width, lambda x: x)   # the source's draw, undecoded
     whole, split, flat = (np.random.default_rng(seed) for _ in range(3))
-    got = draw(whole, count)
-    assert got.shape[0] == count
+    [got] = verify._blocks(rows, whole, count)
+    assert got.shape == (count, width)
     # Two draws in a row take the stream of one draw of both counts ...
-    head = draw(split, count // 2)
-    tail = draw(split, count - count // 2)
-    assert np.concatenate([head, tail]).tobytes() == got.tobytes()
+    parts = [*verify._blocks(rows, split, count // 2),
+             *verify._blocks(rows, split, count - count // 2)]
+    assert np.concatenate(parts).tobytes() == got.tobytes()
     assert split.bit_generator.state == whole.bit_generator.state
     # ... and a draw takes one double of the stream per entry of its rows.
     flat.random(got.size)
@@ -631,19 +641,3 @@ def test_pointwise_bound_core_matches_each_column(cols):
     for k, (_, Nk, mk, _, _) in enumerate(cols):
         c = CoefficientSet(p=Sequence(0, p[k]), q=Sequence(0, q[k]), w=Sequence(1, w[k]))
         _assert_report(lhs[k], rhs[k], check_pointwise_bound(c, Sequence(0, u[k]), mk, Nk))
-
-
-def test_lemma1_core_checks_p_of_every_column():
-    p = np.ones((8, 3))
-    p[5, 2] = -1.0
-    u = np.ones((8, 3), dtype=complex)
-    with pytest.raises(ValidationError, match=r"p\(5\) not strictly positive"):
-        _lemma1(p, u, 1, 4, 1, 6)
-    # Two bad columns: the error names the smaller index, not the first column's.
-    p = np.ones((8, 3))
-    p[4, 0] = -1.0
-    p[2, 2] = 0.0
-    with pytest.raises(ValidationError, match=r"^p\(2\) not strictly positive$"):
-        _lemma1(p, u, 1, 4, 1, 6)
-    with pytest.raises(ValidationError, match="real-valued"):
-        _lemma1(np.ones((8, 3)) + 1e-300j, u, 1, 4, 1, 6)

@@ -8,7 +8,8 @@ their bytes, dataclasses field by field, and a raised error as its type and
 message.  The calls cover `verify.run_all`, the per-block (largest ratio,
 number failed) of each campaign's ``blocks``, the public functions of
 `calculus`, `space`, `operators` and `spectrum` on seeded instances
-(`recurrence` also with real values in complex-typed input,
+(`recurrence` also with real values in complex-typed input and with
+complex initial data under a block of real lambdas,
 `cauchy_diagnostics` also on a family that does not contract, shooting
 also with the pencil's eigenvalues as guesses, and on a weight that puts an
 eigenvalue near the largest double), and invalid integer arguments: a
@@ -199,6 +200,8 @@ def operators(rng) -> None:
         record(f"recurrence({label}, 1.5+0j)", lambda: recurrence(pv, qv, wv, 1.5 + 0j, 0.0, 1.0))
         record(f"recurrence({label}, 1.5, complex data)",
                lambda: recurrence(pv, qv, wv, 1.5, 0.0, 1.0 + 0j))
+        record(f"recurrence({label}, 7 lambdas, complex data)",
+               lambda: recurrence(pv, qv, wv, lams, 0.5 - 0.25j, 1.0 + 0.75j))
 
 
 def spectrum() -> None:

@@ -37,6 +37,9 @@ def commands(tmp: Path):
     wide_range = tmp / "wide-range.json"
     wide_range.write_text(json.dumps({"preset": {"name": "random",
                                                  "params": {"w_range": [-1e308, 1e308]}}}))
+    reversed_range = tmp / "reversed-range.json"
+    reversed_range.write_text(json.dumps({"preset": {"name": "random",
+                                                     "params": {"p_range": [1, 0.5]}}}))
     long_window = ("--preset", "periodic:p=1,q=0.5,w=1", "--length", "2000")
     yield from [
         # the README commands
@@ -54,7 +57,7 @@ def commands(tmp: Path):
         ("solve", *RANDOM, "--lambda", "1.5+0.5j", "--u0", "1", "--u1", "0.5j", "--n", "10"),
         ("solve", *RANDOM, "--lambda", "-2", "--u1", "1", "--pdu0", "3", "--n", "12"),
         ("solve", *long_window, "--lambda", "0.7", "--u0", "0", "--u1", "1", "--n", "1990"),
-        # a real lambda with complex data runs the real loop twice; the zero
+        # a real lambda with complex data takes the complex loop; the zero
         # solution at a lambda that makes c(n) negative prints no -0
         ("solve", *RANDOM, "--lambda", "1.5", "--u0", "1", "--u1", "0.5j", "--n", "10"),
         ("solve", *RANDOM, "--lambda", "50", "--u0", "0", "--u1", "0", "--n", "10"),
@@ -82,7 +85,10 @@ def commands(tmp: Path):
         ("solve", *CONST, "--lambda", "abc", "--u0", "0", "--u1", "1", "--n", "3"),
         ("spectrum", "--preset", "constant:p=-1", "--n", "3"),
         ("spectrum", "--coeffs", str(tiny_w), "--n", "7", "--method", "both"),
+        # ROADMAP item 7: the pencil alone prints wrong rows 1-5 and exits 0
+        ("spectrum", "--coeffs", str(tiny_w), "--n", "7", "--method", "pencil"),
         ("spectrum", "--coeffs", str(wide_range), "--n", "4"),
+        ("spectrum", "--coeffs", str(reversed_range), "--n", "4"),
         ("verify", "--seed", "-1"),
     ]
 
