@@ -46,7 +46,10 @@ def parse_preset(text: str):
                 raise ValueError(f"bad preset parameter {item!r}")
             if key.endswith("_range"):
                 raise ValueError(f"{key} takes a (lo, hi) pair; give it in a --coeffs document")
-            params[key] = float(val)
+            try:
+                params[key] = float(val)
+            except ValueError:
+                raise ValueError(f"preset parameter {key!r} is not a number: {val!r}") from None
     return name, params
 
 

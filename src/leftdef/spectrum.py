@@ -293,6 +293,13 @@ def _fill_zero_weights(N: int, keep: np.ndarray, elim, U_keep: np.ndarray) -> np
     return U[1:-1]
 
 
+# Doubles per temporary of the pencil's residual pass: blocks of
+# max(2, _RESIDUAL_DOUBLES // N) eigenvector columns keep each N-row temporary
+# near 256 KB, so the pass needs no N-by-N array beyond the eigenvectors and
+# the pencil peaks at dstevd's eigenvectors and workspace, about 2 N^2 doubles.
+_RESIDUAL_DOUBLES = 2 ** 15
+
+
 def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None,
                  lambda_max: float | None = None) -> SpectralResult:
     """The finite eigenvalues of (L, W) in (lambda_min, lambda_max], by a congruence.
@@ -305,9 +312,12 @@ def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None
     exactly the eigenvalues of the symmetric tridiagonal C^T J C.  Its
     eigenvectors y give u = |W|^-1/2 C^-T y, and the eliminated entries
     follow from their rows of L u = 0.  Residuals are ||L u - lambda W u||
-    / ||u||.  Since L is positive definite, Sylvester's law of inertia fixes
-    the number of positive and negative eigenvalues to the number of
-    positive and negative w(n); a result that breaks it raises InertiaError.
+    / ||u||, checked one column block of the eigenvectors at a time, so the
+    pencil's peak memory is that of dstevd's eigenvectors and workspace,
+    about 2 N^2 doubles.  Since L is positive definite, Sylvester's law of
+    inertia fixes the number of positive and negative eigenvalues to the
+    number of positive and negative w(n); a result that breaks it raises
+    InertiaError.
     A non-finite eigenvector entry or residual, from a weight so small that
     the congruence loses the spectrum, raises SolverOverflowError.  Both
     checks see the whole spectrum; the window applies only after them.
@@ -343,11 +353,20 @@ def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None
     V *= s[:, None]
     U = V if keep.size == fs.N else _fill_zero_weights(fs.N, keep, elim, V)
 
+    residuals = np.empty(keep.size)
+    finite = True
+    # No block of one column unless the section keeps one: on the C-ordered U
+    # of `_fill_zero_weights`, numpy sums a lone column's squares pairwise but
+    # a wider block's row by row, as it does the whole U's.
+    starts = list(range(0, max(keep.size - 1, 1), max(2, _RESIDUAL_DOUBLES // fs.N)))
     with np.errstate(over="ignore", invalid="ignore"):
-        R = fs.apply_L(U)
-        R -= fs.W_diag[:, None] * U * lam
-        residuals = np.linalg.norm(R, axis=0) / np.linalg.norm(U, axis=0)
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(residuals))):
+        for j, end in zip(starts, starts[1:] + [keep.size]):
+            Ub = U[:, j:end]
+            R = fs.apply_L(Ub)
+            R -= fs.W_diag[:, None] * Ub * lam[j:end]
+            residuals[j:end] = np.linalg.norm(R, axis=0) / np.linalg.norm(Ub, axis=0)
+            finite = finite and bool(np.all(np.isfinite(Ub)))
+    if not (finite and np.all(np.isfinite(residuals))):
         raise SolverOverflowError("an eigenvector or residual is not finite: a weight "
                                   "too small for |W|^-1/2 L |W|^-1/2")
     inside = (((-np.inf if lambda_min is None else lambda_min) < lam)

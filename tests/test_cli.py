@@ -198,15 +198,17 @@ def test_conflicting_initial_data_is_config_error(capsys, init, message):
     assert (status, out, err) == (2, "", f"config-error: {message}\n")
 
 
-@pytest.mark.parametrize("preset", ["constant:p=abc", "nosuch"])
-def test_bad_preset_is_config_error(capsys, preset):
+@pytest.mark.parametrize("preset, message", [
+    pytest.param("constant:p=abc", "preset parameter 'p' is not a number: 'abc'",
+                 id="constant:p=abc"),
+    pytest.param("nosuch", "unknown preset 'nosuch', choose from constant, power, periodic, "
+                 "random", id="nosuch"),
+])
+def test_bad_preset_is_config_error(capsys, preset, message):
     status, out, err = run_cli(
         capsys, "solve", "--preset", preset,
         "--lambda", "0", "--u0", "0", "--u1", "1", "--n", "3")
-    assert status == 2
-    assert out == ""
-    assert err.startswith("config-error:")
-    assert err.count("\n") == 1
+    assert (status, out, err) == (2, "", f"config-error: {message}\n")
 
 
 @pytest.mark.parametrize("preset, key", [("constant:P=2", "'P'"), ("power:p=3", "'p'"),

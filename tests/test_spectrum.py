@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -412,6 +415,110 @@ def test_pencil_inertia_violation_raises(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", flipped)
     with pytest.raises(InertiaError):
         eigen_pencil(c, 8)
+
+
+def whole_matrix_pencil(c, N):
+    """`eigen_pencil`'s eigenvalues and residuals, the residuals from whole N-by-N temporaries."""
+    fs = finite_section(c, N)
+    a, b, keep, elim = spectrum._eliminate_zero_weights(fs)
+    w = fs.W_diag[fs.W_diag != 0]
+    s, J = 1.0 / np.sqrt(np.abs(w)), np.sign(w)
+    C = scipy.linalg.cholesky_banded(np.array([a * s * s, np.append(b * s[:-1] * s[1:], 0.0)]),
+                                     lower=True)
+    c0, sub = C[0], C[1, :-1]
+    diag = c0 * c0 * J
+    diag[:-1] += sub * sub * J[1:]
+    lam, Y = scipy.linalg.eigh_tridiagonal(diag, sub * J[1:] * c0[1:])
+    V = scipy.linalg.solve_banded((0, 1), np.array([np.insert(sub, 0, 0.0), c0]), Y,
+                                  check_finite=False) * s[:, None]
+    U = V if keep.size == N else spectrum._fill_zero_weights(N, keep, elim, V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = fs.apply_L(U)
+        R -= fs.W_diag[:, None] * U * lam
+        return lam, np.linalg.norm(R, axis=0) / np.linalg.norm(U, axis=0)
+
+
+def random_section(N, zeros):
+    """The `random` preset on 1..N, with every third weight from w(3) on set to 0 if `zeros`."""
+    c = make_preset("random", length=N + 2, rng_seed=N)
+    if not zeros:
+        return c
+    w = c.w.values.real.copy()
+    w[2::3] = 0.0
+    return CoefficientSet(c.p, c.q, Sequence(c.w.offset, w))
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+# With b = max(2, 2**15 // N) columns per residual block: N = 1 (one column),
+# 180 (one block narrower than b = 182), 181 (one block of exactly b), 182 (a
+# block of b = 180 and one of 2), 257 (2b + 3 for b = 127), 313 (3b + 1 for
+# b = 104, and 2b + 1 with zero weights: the lone last column joins the block
+# before), 512 (eight blocks of 64) and 600; the zero weights remove about a
+# third of the columns.
+@pytest.mark.parametrize("N", [1, 180, 181, 182, 257, 313, 512, 600])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_block_residuals_equal_the_whole_matrix_bit_for_bit(N, zeros):
+    assert_pencil_is_whole_matrix(N, zeros)
+
+
+# Blocks of b = 64 columns, set through the constant, on sections that keep
+# n = 1, b - 1, b, b + 1, 2b + 1 and 2b + 3 columns.  At b + 1 and 2b + 1 the
+# lone last column joins the block before: with zero weights U is C-ordered,
+# where numpy sums the squares of a lone column pairwise but those of a wider
+# block row by row, and a lone block changes residual 128 at n = 2b + 1.
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 131])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_64_column_blocks_equal_the_whole_matrix_bit_for_bit(monkeypatch, n, zeros):
+    N = next(N for N in itertools.count(n)
+             if np.count_nonzero(finite_section(random_section(N, zeros), N).W_diag) == n)
+    monkeypatch.setattr(spectrum, "_RESIDUAL_DOUBLES", 64 * N)
+    assert_pencil_is_whole_matrix(N, zeros)
+
+
+def assert_pencil_is_whole_matrix(N, zeros):
+    c = random_section(N, zeros)
+    lam, residuals = whole_matrix_pencil(c, N)
+    assert (lam.size < N) == (zeros and N > 2)
+    for lambda_min in (None, 0.0):
+        got = eigen_pencil(c, N, lambda_min)
+        inside = lam > (-np.inf if lambda_min is None else lambda_min)
+        assert hexes(got.eigenvalues) == hexes(lam[inside])
+        assert hexes(got.residuals) == hexes(residuals[inside])
+        assert got.no_finite_count == N - lam.size
+
+
+def test_last_block_alone_not_finite_raises():
+    # Blocks of 109 columns: only residuals 298 and 299, in the third and
+    # last block, are not finite, so a pass that drops a block misses them.
+    rng = np.random.default_rng(0)
+    N = 300
+    w = rng.choice([-1, 1], N + 1) * rng.uniform(0.5, 5, N + 1)
+    w[10] = 1e-300
+    p, q = rng.uniform(0.5, 2, N + 1), rng.uniform(0, 1, N + 1)
+    c = CoefficientSet(Sequence(0, p), Sequence(0, q), Sequence(1, w))
+    assert max(2, spectrum._RESIDUAL_DOUBLES // N) == 109
+    assert np.flatnonzero(~np.isfinite(whole_matrix_pencil(c, N)[1])).tolist() == [298, 299]
+    for window in [(None, None), (None, 0.0), (-1.0, 1.0)]:
+        with pytest.raises(SolverOverflowError):
+            eigen_pencil(c, N, *window)
+
+
+@pytest.mark.parametrize("N", [512, 1024])
+def test_pencil_peaks_near_two_n_squared_doubles(N):
+    # dstevd's eigenvectors and workspace take about 2 N^2 doubles; the
+    # residual pass adds blocks of about 2**15 doubles, not N-by-N arrays.
+    c = make_preset("random", length=N + 2, rng_seed=N)
+    eigen_pencil(c, 4)  # the first call imports scipy
+    tracemalloc.start()
+    try:
+        eigen_pencil(c, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * N * N
 
 
 def reference_range(c, N):
