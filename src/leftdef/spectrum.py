@@ -10,14 +10,21 @@ negative eigenvalues, and Ostrowski's quantitative form the range: all lie
 within 2 max L_diag / min |w != 0| of zero), and finds each eigenvalue by
 its index in G by multisection on one sorted set of counted points, from
 which each bracket is read: each pass counts several points of every
-distinct bracket in one vectorized call.  Guesses, such as the pencil's eigenvalues, are certified
+distinct bracket in one vectorized call.  A count takes the rows of
+L - lambda W in chunks of at most 2**14 doubles (128 KB; a single row when
+the points alone are more): one broadcast forms a(n) - lambda w(n) for every
+row of the chunk and every point, five ufunc calls per row turn that into
+the pivots in place, and one reduction over the chunk's rows counts the
+negative ones.  Guesses, such as the pencil's eigenvalues, are certified
 by counts, never trusted: the counts just below and above a guess confirm
 its index or leave it to the passes.  The congruence keeps the pencil in
 tridiagonal storage: the rows with w = 0 are removed by a Schur complement,
 T = |W|^-1/2 L |W|^-1/2 is factored as C C^T with C bidiagonal, and the
 symmetric tridiagonal C^T J C, J = sign(w), has the pencil's eigenvalues.
-Only the pencil uses scipy, and `eigen_pencil` imports it on its first call,
-so shooting and the rest of the package load without it.
+The pencil calls three LAPACK drivers of `scipy.linalg.lapack` directly:
+dpbtrf factors T, dstevd solves C^T J C, and dtbtrs solves with C^T for the
+eigenvectors.  Only the pencil uses scipy, and `eigen_pencil` imports it on
+its first call, so shooting and the rest of the package load without it.
 """
 
 from __future__ import annotations
@@ -88,6 +95,12 @@ def finite_section(coeffs: CoefficientSet, N: int) -> FiniteSection:
     )
 
 
+# Doubles per row chunk of the Sturm count: 2**14 keeps a chunk of
+# a(n) - lam w(n) at 128 KB, within a core's L2 cache, while a small section
+# with up to 2**14 / N points takes all its rows in one chunk.
+_CHUNK_DOUBLES = 2 ** 14
+
+
 def _sturm_count(fs: FiniteSection, lams) -> np.ndarray:
     """Signed Sturm count of the pencil, vectorized over real lam: the
     number of eigenvalues in (0, lam) for lam >= 0, and minus the number in
@@ -100,17 +113,35 @@ def _sturm_count(fs: FiniteSection, lams) -> np.ndarray:
     of eigenvalues of L - lam W below zero; L is positive definite, so that
     is how many pencil eigenvalues lie between 0 and lam.  Tiny pivots are
     pushed away from zero, sign-preserving.
+
+    The rows go in chunks of max(1, 2**14 // m) rows for m points, so a
+    chunk holds at most 2**14 doubles (128 KB) unless one row of m does: one
+    broadcast forms a(n) - lam w(n) for the whole chunk, each row then turns
+    into its pivots in place with five ufunc calls (a divide and a subtract
+    for d = a(n) - lam w(n) - p(n-1)^2 / d, and the clamp's abs, maximum and
+    copysign), and one reduction of D < 0 over the chunk's rows counts its
+    negative pivots.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    x = lams.ravel()
     a, w = fs.L_diag, fs.W_diag
     b2 = np.concatenate([[0.0], fs.L_offdiag ** 2])  # no coupling above row 1
-    d = np.ones_like(lams)
-    cnt = np.zeros(lams.shape, dtype=np.int64)
+    rows = max(1, _CHUNK_DOUBLES // max(x.size, 1))
+    d = np.ones_like(x)
+    t = np.empty_like(x)  # the clamp's |d| must not overwrite the sign copysign reads
+    cnt = np.zeros(x.shape, dtype=np.int64)
     with np.errstate(over="ignore"):
-        for i in range(fs.N):
-            d = a[i] - lams * w[i] - b2[i] / d
-            d = np.copysign(np.maximum(np.abs(d), 1e-290), d)
-            cnt += d < 0
+        for r in range(0, fs.N, rows):
+            D = a[r:r + rows, None] - w[r:r + rows, None] * x
+            for di, b2i in zip(D, b2[r:r + rows]):
+                np.divide(b2i, d, out=t)
+                np.subtract(di, t, out=di)
+                np.abs(di, out=t)
+                np.maximum(t, 1e-290, out=t)
+                np.copysign(t, di, out=di)
+                d = di
+            cnt += (D < 0).sum(axis=0)
+    cnt = cnt.reshape(lams.shape)
     return np.where(lams >= 0, cnt, -cnt)
 
 
@@ -122,7 +153,7 @@ _WIDTH = 512
 
 def _inertia(fs: FiniteSection) -> tuple:
     """(-#(w < 0), #(w > 0)): the signed counts beyond every eigenvalue."""
-    return -int(np.sum(fs.W_diag < 0)), int(np.sum(fs.W_diag > 0))
+    return -int(np.count_nonzero(fs.W_diag < 0)), int(np.count_nonzero(fs.W_diag > 0))
 
 
 def _bound(fs: FiniteSection) -> float:
@@ -308,21 +339,22 @@ def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None
     with w = 0 carry infinite eigenvalues; they are removed by a Schur
     complement of L, which keeps it SPD tridiagonal, and counted in
     ``no_finite_count``.  On the rest, T = |W|^-1/2 L |W|^-1/2 = C C^T with
-    C lower bidiagonal, and with J = sign(w) the pencil L u = lambda W u has
-    exactly the eigenvalues of the symmetric tridiagonal C^T J C.  Its
-    eigenvectors y give u = |W|^-1/2 C^-T y, and the eliminated entries
-    follow from their rows of L u = 0.  Residuals are ||L u - lambda W u||
-    / ||u||, checked one column block of the eigenvectors at a time, so the
-    pencil's peak memory is that of dstevd's eigenvectors and workspace,
-    about 2 N^2 doubles.  Since L is positive definite, Sylvester's law of
-    inertia fixes the number of positive and negative eigenvalues to the
-    number of positive and negative w(n); a result that breaks it raises
-    InertiaError.
-    A non-finite eigenvector entry or residual, from a weight so small that
-    the congruence loses the spectrum, raises SolverOverflowError.  Both
+    C lower bidiagonal (LAPACK dpbtrf), and with J = sign(w) the pencil
+    L u = lambda W u has exactly the eigenvalues of the symmetric tridiagonal
+    C^T J C (dstevd).  Its eigenvectors y give u = |W|^-1/2 C^-T y (dtbtrs),
+    and the eliminated entries follow from their rows of L u = 0.  Residuals
+    are ||L u - lambda W u|| / ||u||, checked one column block of the
+    eigenvectors at a time, so the pencil's peak memory is that of dstevd's
+    eigenvectors and workspace, about 2 N^2 doubles.  Since L is positive
+    definite, Sylvester's law of inertia fixes the number of positive and
+    negative eigenvalues to the number of positive and negative w(n); a
+    result that breaks it raises InertiaError, as does a T that dpbtrf finds
+    not positive definite.  A non-finite eigenvector entry or residual, from
+    a weight so small that the congruence loses the spectrum, raises
+    SolverOverflowError, as does a nonzero info from dstevd or dtbtrs.  Both
     checks see the whole spectrum; the window applies only after them.
     """
-    from scipy import linalg
+    from scipy.linalg import lapack
 
     _check_window(lambda_min, lambda_max)
     fs = finite_section(coeffs, N)
@@ -336,20 +368,26 @@ def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None
         T = np.array([a * s * s, np.append(b * s[:-1] * s[1:], 0.0)])
     if not np.all(np.isfinite(T)):
         raise SolverOverflowError("a weight so small that |W|^-1/2 L |W|^-1/2 overflows")
-    try:
-        C = linalg.cholesky_banded(T, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise InertiaError("L is not numerically positive definite") from exc
+    C, info = lapack.dpbtrf(T, lower=1, overwrite_ab=1)
+    if info:
+        raise InertiaError("L is not numerically positive definite")
     c, sub = C[0], C[1, :-1]
 
     diag = c * c * J
     diag[:-1] += sub * sub * J[1:]
-    lam, Y = linalg.eigh_tridiagonal(diag, sub * J[1:] * c[1:])
-    inertia = (-int(np.sum(lam < 0)), int(np.sum(lam > 0)))
-    if inertia != _inertia(fs):
-        raise InertiaError(f"pencil inertia {inertia} != signs of w {_inertia(fs)}")
-    V = linalg.solve_banded((0, 1), np.array([np.insert(sub, 0, 0.0), c]), Y,
-                            overwrite_b=True, check_finite=False)
+    # dstevd takes an off-diagonal of length max(n - 1, 1); at n = 1 it is unused.
+    off = sub * J[1:] * c[1:] if sub.size else np.zeros(1)
+    lam, Y, info = lapack.dstevd(diag, off, overwrite_d=1)
+    if info:
+        raise SolverOverflowError(f"LAPACK dstevd failed to converge (info = {info})")
+    inertia = (-int(np.count_nonzero(lam < 0)), int(np.count_nonzero(lam > 0)))
+    expected = _inertia(fs)
+    if inertia != expected:
+        raise InertiaError(f"pencil inertia {inertia} != signs of w {expected}")
+    # C^T as an upper band: its superdiagonal in row 0, shifted one column right.
+    V, info = lapack.dtbtrs(np.array([np.concatenate([[0.0], sub]), c]), Y, overwrite_b=1)
+    if info:
+        raise SolverOverflowError(f"LAPACK dtbtrs found C^T singular (info = {info})")
     V *= s[:, None]
     U = V if keep.size == fs.N else _fill_zero_weights(fs.N, keep, elim, V)
 

@@ -405,15 +405,34 @@ def test_underflowing_section_raises_inertia_error():
 
 
 def test_pencil_inertia_violation_raises(monkeypatch):
-    original = scipy.linalg.eigh_tridiagonal
+    original = scipy.linalg.lapack.dstevd
 
-    def flipped(d, e):
-        lam, Y = original(d, e)
-        return -lam[::-1], Y[:, ::-1]
+    def flipped(d, e, **kwargs):
+        lam, Y, info = original(d, e, **kwargs)
+        return -lam[::-1], Y[:, ::-1], info
 
     c = indefinite_coeffs(np.random.default_rng(19), 8)
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", flipped)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", flipped)
     with pytest.raises(InertiaError):
+        eigen_pencil(c, 8)
+
+
+# A driver that reports info = 1 with otherwise good results: the pencil must
+# raise a typed error naming it, never return those results.
+@pytest.mark.parametrize("driver, error, message", [
+    ("dpbtrf", InertiaError, "^L is not numerically positive definite$"),
+    ("dstevd", SolverOverflowError, "dstevd"),
+    ("dtbtrs", SolverOverflowError, "dtbtrs"),
+])
+def test_lapack_failure_raises_a_leftdef_error(monkeypatch, driver, error, message):
+    original = getattr(scipy.linalg.lapack, driver)
+
+    def failing(*args, **kwargs):
+        return *original(*args, **kwargs)[:-1], 1
+
+    c = indefinite_coeffs(np.random.default_rng(19), 8)
+    monkeypatch.setattr(scipy.linalg.lapack, driver, failing)
+    with pytest.raises(error, match=message):
         eigen_pencil(c, 8)
 
 
@@ -452,13 +471,13 @@ def hexes(values):
     return [float(x).hex() for x in values]
 
 
-# With b = max(2, 2**15 // N) columns per residual block: N = 1 (one column),
-# 180 (one block narrower than b = 182), 181 (one block of exactly b), 182 (a
-# block of b = 180 and one of 2), 257 (2b + 3 for b = 127), 313 (3b + 1 for
-# b = 104, and 2b + 1 with zero weights: the lone last column joins the block
-# before), 512 (eight blocks of 64) and 600; the zero weights remove about a
-# third of the columns.
-@pytest.mark.parametrize("N", [1, 180, 181, 182, 257, 313, 512, 600])
+# With b = max(2, 2**15 // N) columns per residual block: N = 1 and 2 (one
+# and two columns), 180 (one block narrower than b = 182), 181 (one block of
+# exactly b), 182 (a block of b = 180 and one of 2), 257 (2b + 3 for b =
+# 127), 313 (3b + 1 for b = 104, and 2b + 1 with zero weights: the lone last
+# column joins the block before), 512 (eight blocks of 64) and 600; the zero
+# weights remove about a third of the columns.
+@pytest.mark.parametrize("N", [1, 2, 180, 181, 182, 257, 313, 512, 600])
 @pytest.mark.parametrize("zeros", [False, True])
 def test_block_residuals_equal_the_whole_matrix_bit_for_bit(N, zeros):
     assert_pencil_is_whole_matrix(N, zeros)
@@ -480,14 +499,32 @@ def test_64_column_blocks_equal_the_whole_matrix_bit_for_bit(monkeypatch, n, zer
 
 def assert_pencil_is_whole_matrix(N, zeros):
     c = random_section(N, zeros)
-    lam, residuals = whole_matrix_pencil(c, N)
+    lam = assert_pencil_matches_reference(c, N)
     assert (lam.size < N) == (zeros and N > 2)
+
+
+# Every weight zero but w(kept): the pencil solves a 1-by-1 congruence, where
+# the scipy wrappers of the reference take their own quick exits.
+@pytest.mark.parametrize("N, kept", [(2, 1), (2, 2), (7, 1), (7, 4), (7, 7)])
+def test_section_keeping_one_column_equals_the_whole_matrix(N, kept):
+    c = random_section(N, False)
+    w = np.zeros(N)
+    w[kept - 1] = c.w.window(kept, kept)[0]
+    lam = assert_pencil_matches_reference(
+        CoefficientSet(c.p, c.q, Sequence(1, w)), N)
+    assert lam.size == 1
+
+
+def assert_pencil_matches_reference(c, N):
+    """`eigen_pencil` equals `whole_matrix_pencil` bit for bit, whole and above 0."""
+    lam, residuals = whole_matrix_pencil(c, N)
     for lambda_min in (None, 0.0):
         got = eigen_pencil(c, N, lambda_min)
         inside = lam > (-np.inf if lambda_min is None else lambda_min)
         assert hexes(got.eigenvalues) == hexes(lam[inside])
         assert hexes(got.residuals) == hexes(residuals[inside])
         assert got.no_finite_count == N - lam.size
+    return lam
 
 
 def test_last_block_alone_not_finite_raises():
@@ -737,3 +774,64 @@ def test_shooting_range_raises_beyond_the_float_range():
     c, N = explicit([1.0, 5e-324, -1.0])
     with pytest.raises(SolverOverflowError, match="beyond the float range"):
         shooting_range(c, N)
+
+
+def loop_sturm_count(fs, lams):
+    """`_sturm_count` as one loop over the rows, nine ufunc calls each, and the
+    number of pivots its clamp pushed away from zero."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    a, w = fs.L_diag, fs.W_diag
+    b2 = np.concatenate([[0.0], fs.L_offdiag ** 2])
+    d = np.ones_like(lams)
+    cnt = np.zeros(lams.shape, dtype=np.int64)
+    clamped = 0
+    with np.errstate(over="ignore"):
+        for i in range(fs.N):
+            d = a[i] - lams * w[i] - b2[i] / d
+            clamped += np.count_nonzero(np.abs(d) < 1e-290)
+            d = np.copysign(np.maximum(np.abs(d), 1e-290), d)
+            cnt += d < 0
+    return np.where(lams >= 0, cnt, -cnt), clamped
+
+
+def count_sections(N):
+    """The `random` section on 1..N as it is, with zero weights, and with w(N // 2 + 1) = 1e-300."""
+    c = random_section(N, False)
+    w = c.w.window(1, N).copy()
+    w[N // 2] = 1e-300
+    return [c, random_section(N, True), CoefficientSet(c.p, c.q, Sequence(1, w))]
+
+
+# Chunks of 2**14 // m rows for m points: N = 31..33 straddle the edge of 32
+# rows at 512 points and N = 255..257 that of 256 rows at 64 points.  The
+# points a(n) / w(n) zero the first pivot, or come within the clamp of it.
+@pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 255, 256, 257])
+def test_chunked_count_equals_the_row_loop(N):
+    rng = np.random.default_rng(N)
+    clamped = 0
+    for c in count_sections(N):
+        fs = finite_section(c, N)
+        B = spectrum._bound(fs)
+        ends = np.array([0.0, -0.0, 1e308, -1e308, B, -B])
+        point_sets = [ends[k:k + m] for m in (1, 2) for k in range(0, 6, m)]
+        for m in (64, 66, 512):
+            x = rng.uniform(-B, B, m)
+            x[:6] = ends
+            point_sets += [x, np.sort(x)]
+        nonzero = fs.W_diag != 0
+        point_sets.append(fs.L_diag[nonzero] / fs.W_diag[nonzero])
+        for x in point_sets:
+            want, fired = loop_sturm_count(fs, x)
+            assert np.array_equal(spectrum._sturm_count(fs, x), want)
+            clamped += fired
+    assert clamped > 0
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3, 4), (40, 13)])
+def test_chunked_count_keeps_the_shape_of_lams(shape):
+    c = random_section(40, True)
+    fs = finite_section(c, 40)
+    lams = np.random.default_rng(3).uniform(-30.0, 30.0, shape)
+    got = spectrum._sturm_count(fs, lams)
+    assert got.shape == np.atleast_1d(lams).shape
+    assert np.array_equal(got, loop_sturm_count(fs, lams)[0])

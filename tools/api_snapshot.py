@@ -11,10 +11,11 @@ number failed) of each campaign's ``blocks``, the public functions of
 (`recurrence` also with real values in complex-typed input and with
 complex initial data under a block of real lambdas,
 `cauchy_diagnostics` also on a family that does not contract, shooting
-also with the pencil's eigenvalues as guesses, and on a weight that puts an
-eigenvalue near the largest double; the pencil also at N = 600, where its
-residuals take several column blocks, with and without zero weights and once
-under a window), and invalid integer arguments: a
+also with the pencil's eigenvalues as guesses, on a weight that puts an
+eigenvalue near the largest double, and without guesses at N = 600, where
+its Sturm counts take many row chunks and passes; the pencil also at N = 600,
+where its residuals take several column blocks, with and without zero
+weights and once under a window), and invalid integer arguments: a
 non-integer, bool or below-range N for every function that takes one, a 1.5
 index through each window read, and a negative seed for each preset.  Run it
 on two source trees and `diff` the snapshots: equal lines mean bit-identical
@@ -108,6 +109,10 @@ def solution(sol) -> tuple:
 
 def pencil_arrays(res) -> tuple:
     return np.array(res.eigenvalues), np.array(res.residuals), res.no_finite_count
+
+
+def shooting_arrays(res) -> tuple:
+    return np.array(res.eigenvalues), np.array(res.brackets), res.no_finite_count
 
 
 def wronskian_value(value):
@@ -224,7 +229,8 @@ def spectrum() -> None:
                 record(f"eigen_shooting({label}, {N}, {window}, guesses=pencil)",
                        lambda: eigen_shooting(c, N, *window,
                                               guesses=eigen_pencil(c, N, *window).eigenvalues))
-    # N = 600 takes several of the pencil's residual blocks; arrays keep the lines short.
+    # N = 600 takes several of the pencil's residual blocks and many count chunks;
+    # arrays keep the lines short.
     c = make_preset("random", length=602, rng_seed=5)
     w = c.w.values.copy()
     w[2::3] = 0.0
@@ -234,6 +240,8 @@ def spectrum() -> None:
                                    ("random:seed=5,length=602", c, (0.0, None))):
         record(f"eigen_pencil({label}, 600, {window})",
                lambda: pencil_arrays(eigen_pencil(section, 600, *window)))
+    record("eigen_shooting(random:seed=5,length=602, 600, (None, None))",
+           lambda: shooting_arrays(eigen_shooting(c, 600)))
     # w(2) = 1.2e-308 puts an eigenvalue near 1.67e308, just below the largest double.
     c = CoefficientSet(Sequence(0, np.ones(4)), Sequence(0, np.zeros(4)),
                        Sequence(1, np.array([1.0, 1.2e-308, -1.0])))
