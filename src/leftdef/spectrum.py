@@ -21,14 +21,21 @@ its index or leave it to the passes.  The congruence keeps the pencil in
 tridiagonal storage: the rows with w = 0 are removed by a Schur complement,
 T = |W|^-1/2 L |W|^-1/2 is factored as C C^T with C bidiagonal, and the
 symmetric tridiagonal C^T J C, J = sign(w), has the pencil's eigenvalues.
-The pencil calls three LAPACK drivers of `scipy.linalg.lapack` directly:
-dpbtrf factors T, dstevd solves C^T J C, and dtbtrs solves with C^T for the
-eigenvectors.  Only the pencil uses scipy, and `eigen_pencil` imports it on
-its first call, so shooting and the rest of the package load without it.
+The pencil calls three LAPACK drivers directly: dpbtrf factors T, dstevd
+solves C^T J C, and dtbtrs solves with C^T for the eigenvectors.  Only the
+pencil uses scipy, and `eigen_pencil` loads on its first call just scipy's
+LAPACK extension, `scipy.linalg._flapack`, through `_lapack`: the package
+import `scipy.linalg` runs about 225 ms of `__init__` code for the same
+driver objects that the extension alone holds, loaded in 15 ms or less.
+Shooting and the rest of the package load without scipy.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,14 +89,26 @@ class SpectralResult:
 
 
 def finite_section(coeffs: CoefficientSet, N: int) -> FiniteSection:
-    """Assemble the N-by-N Dirichlet section matrices."""
+    """Assemble the N-by-N Dirichlet section matrices.
+
+    Finite coefficients can still sum past the largest double: a non-finite
+    L_diag(n) = p(n-1) + p(n) + q(n) raises SolverOverflowError naming the
+    first such n, before any solver sees it.
+    """
     N = _integer(N, "N", 1)
     pv = coeffs.p.window(0, N, "p")
     qv = coeffs.q.window(1, N, "q")
     wv = coeffs.w.window(1, N, "w")
+    with np.errstate(over="ignore"):
+        L_diag = pv[:-1] + pv[1:] + qv
+    finite = np.isfinite(L_diag)
+    if not finite.all():
+        n = int(np.argmin(finite)) + 1
+        raise SolverOverflowError(f"L_diag({n}) = p({n - 1}) + p({n}) + q({n}) "
+                                  "overflows the float range")
     return FiniteSection(
         N=N,
-        L_diag=pv[:-1] + pv[1:] + qv,
+        L_diag=L_diag,
         L_offdiag=-pv[1:N],
         W_diag=wv.copy(),
     )
@@ -331,6 +350,33 @@ def _fill_zero_weights(N: int, keep: np.ndarray, elim, U_keep: np.ndarray) -> np
 _RESIDUAL_DOUBLES = 2 ** 15
 
 
+def _lapack():
+    """scipy's f2py LAPACK extension `scipy.linalg._flapack`, loaded without `scipy.linalg`.
+
+    `find_spec("scipy")` locates scipy without running its `__init__`, and
+    the extension file is loaded by itself and registered in `sys.modules`
+    under its own name, so a later `import scipy.linalg` reuses it and
+    `scipy.linalg.lapack` re-exports these same driver objects.  A missing
+    extension is an ImportError that names the file looked for.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        spec = importlib.machinery.FileFinder(
+            linalg, (importlib.machinery.ExtensionFileLoader, suffixes)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no LAPACK extension {os.path.join(linalg, '_flapack')} "
+                              f"with a suffix in {suffixes}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
 def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None,
                  lambda_max: float | None = None) -> SpectralResult:
     """The finite eigenvalues of (L, W) in (lambda_min, lambda_max], by a congruence.
@@ -354,8 +400,7 @@ def eigen_pencil(coeffs: CoefficientSet, N: int, lambda_min: float | None = None
     SolverOverflowError, as does a nonzero info from dstevd or dtbtrs.  Both
     checks see the whole spectrum; the window applies only after them.
     """
-    from scipy.linalg import lapack
-
+    lapack = _lapack()
     _check_window(lambda_min, lambda_max)
     fs = finite_section(coeffs, N)
     a, b, keep, elim = _eliminate_zero_weights(fs)

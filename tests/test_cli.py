@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,22 @@ def test_malformed_coeffs_document_exits_1(tmp_path, capsys, doc):
     assert status == 1
     assert out == ""
     assert err.startswith("error: ValidationError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["shooting", "pencil", "both"])
+def test_overflowing_l_diag_is_one_typed_line(tmp_path, capsys, method):
+    # Each p is finite, but L_diag(1) = p(0) + p(1) + q(1) is not: every
+    # method stops at finite_section, with no numpy warning before its line.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"p": [1e308] * 3, "q": [0] * 3, "w": [1, -1]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, err = run_cli(capsys, "spectrum", "--coeffs", str(path), "--n", "2",
+                                   "--method", method)
+    assert status == 1
+    assert out == ""
+    assert err == ("error: SolverOverflowError: L_diag(1) = p(0) + p(1) + q(1) "
+                   "overflows the float range\n")
 
 
 def test_scalar_periodic_parameter_is_one_entry_cycle(capsys):
@@ -694,17 +711,44 @@ with contextlib.redirect_stdout(io.StringIO()):
     loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
     assert not loaded, loaded[:3]
     assert cli.main(["spectrum", *const, "--n", "8", "--method", "pencil"]) == 0
-assert "scipy.linalg" in sys.modules
+assert "scipy.linalg._flapack" in sys.modules
+assert "scipy.linalg" not in sys.modules
 """
+
+# The pencil loads scipy's LAPACK extension before anything imports
+# scipy.linalg; the package import must then reuse it, not load a second copy.
+PENCIL_THEN_SCIPY_CHILD = """
+import numpy as np
+from leftdef import make_preset, spectrum
+
+c = make_preset("random", length=34, rng_seed=7)
+first = spectrum.eigen_pencil(c, 32)
+import scipy.linalg
+
+lam = scipy.linalg.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True)
+assert np.allclose(lam, 2 - np.sqrt(2) * np.array([1, 0, -1])), lam
+assert scipy.linalg.lapack.dstevd is spectrum._lapack().dstevd
+again = spectrum.eigen_pencil(c, 32)
+assert (again.eigenvalues, again.residuals) == (first.eigenvalues, first.residuals)
+"""
+
+
+def run_fresh_interpreter(code):
+    """Run code in a fresh interpreter on this checkout, every warning an error."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
 
 
 def test_only_the_pencil_imports_scipy():
     # This process already holds scipy, so a fresh interpreter runs every
     # command but the pencil, checks that scipy is still unloaded, then runs
-    # the pencil, which loads it.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-c", SCIPY_FREE_CHILD], env=env,
-                           capture_output=True, text=True)
-    assert child.returncode == 0, child.stderr
+    # the pencil, which loads scipy's LAPACK extension and not scipy.linalg.
+    run_fresh_interpreter(SCIPY_FREE_CHILD)
+
+
+def test_scipy_linalg_imported_after_the_pencil_reuses_its_lapack():
+    run_fresh_interpreter(PENCIL_THEN_SCIPY_CHILD)

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,15 +407,39 @@ def test_underflowing_section_raises_inertia_error():
         eigen_pencil(c, 3)
 
 
+@pytest.mark.parametrize("solver", [finite_section, eigen_shooting, eigen_pencil, shooting_range])
+def test_overflowing_l_diag_names_its_first_index(solver):
+    # p(3) + p(4) is the first sum past the largest double; L_diag(5) overflows too.
+    p = np.array([1.0, 1.0, 1.0, 1e308, 1e308, 1e308, 1.0])
+    c = CoefficientSet(Sequence(0, p), Sequence(0, np.zeros(7)), Sequence(1, np.ones(6)))
+    with pytest.raises(SolverOverflowError,
+                       match=r"^L_diag\(4\) = p\(3\) \+ p\(4\) \+ q\(4\) overflows"):
+        solver(c, 6)
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ModuleNotFoundError, match="'scipy'"):
+        spectrum._lapack()
+    # No _flapack file under <scipy>/linalg: the loader names the file it looked for.
+    (tmp_path / "linalg").mkdir()
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    with pytest.raises(ImportError) as raised:
+        spectrum._lapack()
+    assert str(tmp_path / "linalg" / "_flapack") in str(raised.value)
+
+
 def test_pencil_inertia_violation_raises(monkeypatch):
-    original = scipy.linalg.lapack.dstevd
+    original = spectrum._lapack().dstevd
 
     def flipped(d, e, **kwargs):
         lam, Y, info = original(d, e, **kwargs)
         return -lam[::-1], Y[:, ::-1], info
 
     c = indefinite_coeffs(np.random.default_rng(19), 8)
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", flipped)
+    monkeypatch.setattr(spectrum._lapack(), "dstevd", flipped)
     with pytest.raises(InertiaError):
         eigen_pencil(c, 8)
 
@@ -425,13 +452,13 @@ def test_pencil_inertia_violation_raises(monkeypatch):
     ("dtbtrs", SolverOverflowError, "dtbtrs"),
 ])
 def test_lapack_failure_raises_a_leftdef_error(monkeypatch, driver, error, message):
-    original = getattr(scipy.linalg.lapack, driver)
+    original = getattr(spectrum._lapack(), driver)
 
     def failing(*args, **kwargs):
         return *original(*args, **kwargs)[:-1], 1
 
     c = indefinite_coeffs(np.random.default_rng(19), 8)
-    monkeypatch.setattr(scipy.linalg.lapack, driver, failing)
+    monkeypatch.setattr(spectrum._lapack(), driver, failing)
     with pytest.raises(error, match=message):
         eigen_pencil(c, 8)
 
@@ -548,7 +575,7 @@ def test_pencil_peaks_near_two_n_squared_doubles(N):
     # dstevd's eigenvectors and workspace take about 2 N^2 doubles; the
     # residual pass adds blocks of about 2**15 doubles, not N-by-N arrays.
     c = make_preset("random", length=N + 2, rng_seed=N)
-    eigen_pencil(c, 4)  # the first call imports scipy
+    eigen_pencil(c, 4)  # the first call loads scipy's LAPACK extension
     tracemalloc.start()
     try:
         eigen_pencil(c, N)

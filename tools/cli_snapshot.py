@@ -40,6 +40,8 @@ def commands(tmp: Path):
     reversed_range = tmp / "reversed-range.json"
     reversed_range.write_text(json.dumps({"preset": {"name": "random",
                                                      "params": {"p_range": [1, 0.5]}}}))
+    huge_p = tmp / "huge-p.json"
+    huge_p.write_text(json.dumps({"p": [1e308] * 3, "q": [0] * 3, "w": [1, -1]}))
     long_window = ("--preset", "periodic:p=1,q=0.5,w=1", "--length", "2000")
     yield from [
         # the README commands
@@ -89,6 +91,7 @@ def commands(tmp: Path):
         ("spectrum", "--coeffs", str(tiny_w), "--n", "7", "--method", "pencil"),
         ("spectrum", "--coeffs", str(wide_range), "--n", "4"),
         ("spectrum", "--coeffs", str(reversed_range), "--n", "4"),
+        ("spectrum", "--coeffs", str(huge_p), "--n", "2"),
         ("verify", "--seed", "-1"),
     ]
 
