@@ -23,10 +23,11 @@ T = |W|^-1/2 L |W|^-1/2 is factored as C C^T with C bidiagonal, and the
 symmetric tridiagonal C^T J C, J = sign(w), has the pencil's eigenvalues.
 The pencil calls three LAPACK drivers directly: dpbtrf factors T, dstevd
 solves C^T J C, and dtbtrs solves with C^T for the eigenvectors.  Only the
-pencil uses scipy, and `eigen_pencil` loads on its first call just scipy's
-LAPACK extension, `scipy.linalg._flapack`, through `_lapack`: the package
-import `scipy.linalg` runs about 225 ms of `__init__` code for the same
-driver objects that the extension alone holds, loaded in 15 ms or less.
+pencil uses scipy, and `eigen_pencil` loads on its first call just `scipy`
+and its LAPACK extension, `scipy.linalg._flapack`, through `_lapack`: the
+package import `scipy.linalg` runs about 225 ms of `__init__` code for the
+same driver objects that the extension alone holds, loaded with `scipy`'s
+own `__init__` in about 20 ms.
 Shooting and the rest of the package load without scipy.
 """
 
@@ -353,24 +354,26 @@ _RESIDUAL_DOUBLES = 2 ** 15
 def _lapack():
     """scipy's f2py LAPACK extension `scipy.linalg._flapack`, loaded without `scipy.linalg`.
 
-    `find_spec("scipy")` locates scipy without running its `__init__`, and
-    the extension file is loaded by itself and registered in `sys.modules`
-    under its own name, so a later `import scipy.linalg` reuses it and
-    `scipy.linalg.lapack` re-exports these same driver objects.  A missing
-    extension is an ImportError that names the file looked for.
+    `import scipy` runs only scipy's own `__init__` (about 10 ms after
+    numpy), which makes the extension's BLAS/LAPACK libraries loadable where
+    a distribution needs it, as scipy's Windows wheels do.  The extension
+    file is then loaded by itself and registered in `sys.modules` under its
+    own name, so a later `import scipy.linalg` reuses it and
+    `scipy.linalg.lapack` re-exports these same driver objects.  Since the
+    module was loaded before its parent package, `scipy.linalg` never gets
+    the attribute `_flapack`: `from scipy.linalg import _flapack` still
+    works, `scipy.linalg._flapack` as an expression raises AttributeError.
+    A missing extension is an ImportError that names the file looked for.
     """
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
-        scipy = importlib.util.find_spec("scipy")
-        if scipy is None:
-            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-        linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
-        suffixes = importlib.machinery.EXTENSION_SUFFIXES
-        spec = importlib.machinery.FileFinder(
-            linalg, (importlib.machinery.ExtensionFileLoader, suffixes)).find_spec(name)
+        import scipy
+
+        linalg = os.path.join(scipy.__path__[0], "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(name, [linalg])
         if spec is None:
-            raise ImportError(f"no LAPACK extension {os.path.join(linalg, '_flapack')} "
-                              f"with a suffix in {suffixes}", name=name)
+            raise ImportError(f"no LAPACK extension {os.path.join(linalg, '_flapack')}",
+                              name=name)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module

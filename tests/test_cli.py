@@ -728,6 +728,9 @@ import scipy.linalg
 lam = scipy.linalg.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True)
 assert np.allclose(lam, 2 - np.sqrt(2) * np.array([1, 0, -1])), lam
 assert scipy.linalg.lapack.dstevd is spectrum._lapack().dstevd
+from scipy.linalg import _flapack
+
+assert _flapack is spectrum._lapack()
 again = spectrum.eigen_pencil(c, 32)
 assert (again.eigenvalues, again.residuals) == (first.eigenvalues, first.residuals)
 """

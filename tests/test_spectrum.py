@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 import sys
 import tracemalloc
@@ -419,13 +418,12 @@ def test_overflowing_l_diag_names_its_first_index(solver):
 
 def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
-    with pytest.raises(ModuleNotFoundError, match="'scipy'"):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    with pytest.raises(ModuleNotFoundError, match="scipy"):
         spectrum._lapack()
     # No _flapack file under <scipy>/linalg: the loader names the file it looked for.
     (tmp_path / "linalg").mkdir()
-    monkeypatch.setattr(importlib.util, "find_spec",
-                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    monkeypatch.setitem(sys.modules, "scipy", SimpleNamespace(__path__=[str(tmp_path)]))
     with pytest.raises(ImportError) as raised:
         spectrum._lapack()
     assert str(tmp_path / "linalg" / "_flapack") in str(raised.value)
